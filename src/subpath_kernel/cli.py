@@ -17,7 +17,7 @@ from .bench import bench_kernel, bench_predict
 from .kernel import KernelParams, gram_matrix, subpath_kernel, subpath_kernel_oracle
 from .predict import build_master_index, load_model, predict
 from .trees import LabelTable, TreeParseError, parse_corpus, random_tree, serialize_tree
-from .esa import build_esa_linear, build_esa_reference
+from .esa import select_builder
 
 
 def _fmt(x: float) -> str:
@@ -70,7 +70,7 @@ def cmd_gram(args) -> int:
 def cmd_esa_dump(args) -> int:
     table = LabelTable()
     trees = _read_corpus(args.file, table)
-    build = build_esa_linear if args.builder == "linear" else build_esa_reference
+    build = select_builder(args.builder)
     blocks = []
     for tree in trees:
         arr = build(tree)

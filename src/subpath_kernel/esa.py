@@ -11,16 +11,22 @@ Two interchangeable builders produce byte-identical output:
 
 * ``build_esa_reference``: most-significant-first, character-at-a-time
   partitioning.  Simple, stack-safe, O(n + total distinguishing prefix).
-* ``build_esa_linear``: a sample-and-merge construction.  Nodes whose depth
-  falls outside one residue class mod 3 form a sample that is ranked by its
-  first three labels, contracted (parent = third ancestor) and recursed on;
-  the remaining suffixes are radix-sorted by (label, rank of parent suffix),
-  the two orders are merged with O(1) comparisons, and the lcp array is
-  lifted from the contracted level with range-minimum queries plus at most
-  two direct label comparisons.  Linear work per level, level sizes decay
-  geometrically.
+  It is the oracle the fast builder is tested against.
+* ``build_esa_linear``: prefix doubling (Manber & Myers) in numpy.  Round k
+  ranks every node by the pair (rank of its first 2^k labels, rank of the
+  first 2^k labels of its 2^k-th ancestor); walking past a root reads a
+  sentinel of rank 0, which sorts below every label.  Rounds stop once all
+  ranks are distinct or every 2^k-th ancestor is the sentinel.  The lcp of
+  each rank-adjacent pair is then read off the stored rank levels by one
+  descending jump pass, capped at the shorter suffix length.  A tree of
+  height h needs at most ceil(log2(h + 1)) rounds of O(n) numpy work plus
+  one sort each, so the worst case (a single-label path) is O(n log h),
+  not the O(n) the paper's construction guarantees; random trees stop
+  after about 5 rounds.  The name is kept for callers that select it as
+  ``"linear"``.
 
-Both builders accept any object with ``labels``, ``parent`` and ``depth``
+``select_builder`` maps the ``builder=`` names to these functions.  Both
+builders accept any object with ``labels``, ``parent`` and ``depth``
 sequences, including multi-root forests (parent -1 marks each root).
 """
 
@@ -29,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-_BASE_CASE = 16
 
 
 @dataclass(frozen=True)
@@ -66,11 +70,12 @@ def naive_lcp(tree, u: int, v: int) -> int:
     return k
 
 
-def _finish(sa: list[int], lcp: list[int], depth) -> TreeSuffixArray:
-    rsa = [0] * len(sa)
-    for i, v in enumerate(sa):
-        rsa[v] = i
-    return TreeSuffixArray(sa=sa, lcp=lcp, rsa=rsa, suffix_len=[d + 1 for d in depth])
+def _finish(sa, lcp: list[int], depth) -> TreeSuffixArray:
+    order = np.asarray(sa, np.int64)
+    rsa = np.empty_like(order)
+    rsa[order] = np.arange(order.size)
+    return TreeSuffixArray(sa=order.tolist(), lcp=lcp, rsa=rsa.tolist(),
+                           suffix_len=[d + 1 for d in depth])
 
 
 # ---------------------------------------------------------------------------
@@ -131,313 +136,58 @@ def build_esa_reference(tree) -> TreeSuffixArray:
 
 
 # ---------------------------------------------------------------------------
-# linear builder internals
-
-
-def choose_depth_class(depth) -> int:
-    """Depth residue (mod 3) holding the most nodes; smallest wins ties.
-
-    The sample (every node outside the chosen class) then has at most 2n/3
-    nodes, which drives the geometric shrink of the recursion.
-    """
-    counts = np.bincount(np.asarray(depth, np.int64) % 3, minlength=3)
-    return int(np.argmax(counts))
-
-
-def _ext_arrays(lab: np.ndarray, par: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parent/label arrays extended with a self-looping sentinel at index n.
-
-    The sentinel carries label 0, the below-everything pad, so walks past a
-    root read as end-of-suffix.
-    """
-    n = int(lab.size)
-    P = np.append(np.where(par < 0, n, par), np.int64(n))
-    L = np.append(lab, np.int64(0))
-    return P, L
-
-
-def _stable_by(keys_msd_first: list[np.ndarray]) -> np.ndarray:
-    """Stable argsort by several integer keys, most significant first."""
-    order: np.ndarray | None = None
-    for key in reversed(keys_msd_first):
-        if order is None:
-            order = np.argsort(key, kind="stable")
-        else:
-            order = order[np.argsort(key[order], kind="stable")]
-    assert order is not None
-    return order
-
-
-def rank_sample_triples(lab, P, L, dep, d):
-    """Radix-rank sample suffixes by their first three labels.
-
-    Returns (sample node ids ascending, dense rank per sample node, stable
-    sorted order as positions into the sample array, number of ranks).
-    Missing ancestors read the pad label 0, which sorts below everything.
-    """
-    sample = np.flatnonzero(dep % 3 != d)
-    a1 = P[sample]
-    a2 = P[a1]
-    t0, t1, t2 = L[sample], L[a1], L[a2]
-    order = _stable_by([t0, t1, t2])
-    ns = int(sample.size)
-    ranks = np.empty(ns, np.int64)
-    if ns:
-        s0, s1, s2 = t0[order], t1[order], t2[order]
-        new = np.empty(ns, bool)
-        new[0] = True
-        new[1:] = (s0[1:] != s0[:-1]) | (s1[1:] != s1[:-1]) | (s2[1:] != s2[:-1])
-        rk = np.cumsum(new) - 1
-        ranks[order] = rk
-        nranks = int(rk[-1]) + 1
-    else:
-        nranks = 0
-    return sample, ranks, order, nranks
-
-
-def build_contracted(sample, ranks, P, dep):
-    """Contract sample nodes into a forest: parent = third ancestor.
-
-    Node i of the contracted forest is the i-th smallest sample id, which is
-    again a valid preorder (ancestors shrink ids, subtrees stay contiguous),
-    so the recursion's id tie-break agrees with the original one.  Labels
-    are triple ranks shifted by one to keep 0 as the pad.
-    """
-    inv = np.full(P.size, -1, np.int64)
-    inv[sample] = np.arange(sample.size)
-    p3 = P[P[P[sample]]]
-    dep_s = dep[sample]
-    lab_c = ranks + 1
-    par_c = np.where(dep_s >= 3, inv[p3], np.int64(-1))
-    dep_c = dep_s // 3
-    return lab_c, par_c, dep_c
-
-
-def sort_nonsample(lab, P, dep, d, rank1):
-    """Order nonsample suffixes by (own label, rank of the parent suffix).
-
-    Parents of nonsample nodes are sample nodes, so their ranks are known;
-    a missing parent keys as rank -1 and sorts first (end-of-suffix rule).
-    """
-    nonsample = np.flatnonzero(dep % 3 == d)
-    key2 = rank1[P[nonsample]]
-    order = _stable_by([lab[nonsample], key2])
-    return nonsample[order]
-
-
-def merge_sample_nonsample(sa1, sa2, lab, labp, r1, r2, cls2):
-    """Two-finger merge of the sample and nonsample orders.
-
-    Each cross comparison resolves with at most two label comparisons plus
-    one sample-rank comparison: against a sample node two steps above the
-    excluded class, the parents of both suffixes are sample; one step above
-    it, the grandparents are.  Equal keys cannot occur because equal suffix
-    strings have equal depths and hence the same class.
-    """
-    out: list[int] = []
-    i = j = 0
-    ns, nn = len(sa1), len(sa2)
-    while i < ns and j < nn:
-        u = sa1[i]
-        v = sa2[j]
-        cu = lab[u]
-        cv = lab[v]
-        if cu != cv:
-            take = cu < cv
-        elif cls2[u]:
-            take = r1[u] < r1[v]
-        else:
-            du = labp[u]
-            dv = labp[v]
-            if du != dv:
-                take = du < dv
-            else:
-                take = r2[u] < r2[v]
-        if take:
-            out.append(u)
-            i += 1
-        else:
-            out.append(v)
-            j += 1
-    out.extend(sa1[i:])
-    out.extend(sa2[j:])
-    return out
-
-
-def _batch_anc(P: np.ndarray, nodes: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Ancestor-at-distance for many nodes at once by bit-wise lifting."""
-    cur = np.array(nodes, np.int64, copy=True)
-    if cur.size == 0:
-        return cur
-    maxs = int(steps.max(initial=0))
-    row = P
-    b = 0
-    while (1 << b) <= maxs:
-        mask = ((steps >> b) & 1).astype(bool)
-        if mask.any():
-            cur[mask] = row[cur[mask]]
-        b += 1
-        if (1 << b) <= maxs:
-            row = row[row]
-    return cur
-
-
-def _batch_range_min(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Min over inclusive ranges of a small array, vectorized sparse table."""
-    n = int(values.size)
-    levels = [values]
-    j = 1
-    while (1 << j) <= n:
-        prev = levels[-1]
-        half = 1 << (j - 1)
-        width = n - (1 << j) + 1
-        levels.append(np.minimum(prev[:width], prev[half:half + width]))
-        j += 1
-    logt = np.zeros(n + 1, np.int64)
-    j = 1
-    while (1 << j) <= n:
-        logt[(1 << j):] = j
-        j += 1
-    js = logt[hi - lo + 1]
-    out = np.empty(lo.size, np.int64)
-    for j in range(len(levels)):
-        mask = js == j
-        if mask.any():
-            row = levels[j]
-            out[mask] = np.minimum(row[lo[mask]], row[hi[mask] - (1 << j) + 1])
-    return out
-
-
-def lift_lcp(sa, lab, P, L, dep, d, rank1, lcp1):
-    """Lcp between rank-adjacent suffixes from the contracted-level lcp.
-
-    For each adjacent pair, shift both suffixes by z in {0, 1, 2} parent
-    steps (comparing the skipped labels directly) so both land in the
-    sample; a range minimum over the contracted lcp gives the number m of
-    whole matching label triples, and at most two further comparisons settle
-    the remainder.  A final cap by both suffix lengths absorbs pairs that
-    run off their roots in lockstep.
-    """
-    n = int(lab.size)
-    N = int(sa.size)
-    if N <= 1:
-        return np.full(N, -1, np.int64)
-    k = sa[:-1]
-    l = sa[1:]
-    ck = (dep[k] - d) % 3
-    cl = (dep[l] - d) % 3
-    both = (ck != 0) & (cl != 0)
-    z = np.where(both, 0, np.where((ck == 1) | (cl == 1), 2, 1))
-
-    kk = k.copy()
-    ll = l.copy()
-    matched = np.zeros(N - 1, np.int64)
-    alive = np.ones(N - 1, bool)
-    for t in (0, 1):
-        sel = z > t
-        if not sel.any():
-            break
-        eq = L[kk] == L[ll]
-        matched += sel & alive & eq
-        alive &= ~sel | eq
-        kk = np.where(sel, P[kk], kk)
-        ll = np.where(sel, P[ll], ll)
-
-    full = alive
-    ended = (kk == n) | (ll == n)
-    same = (kk == ll) & ~ended
-    lift = np.zeros(N - 1, np.int64)
-    pick = full & same
-    if pick.any():
-        lift[pick] = dep[kk[pick]] + 1
-    valid = np.flatnonzero(full & ~ended & ~same)
-    if valid.size:
-        vk = kk[valid]
-        vl = ll[valid]
-        x = rank1[vk]
-        y = rank1[vl]
-        lo = np.minimum(x, y)
-        hi = np.maximum(x, y)
-        m = _batch_range_min(lcp1[:-1], lo, hi - 1)
-        mn = np.minimum(dep[vk], dep[vl]) + 1
-        base = 3 * m
-        over = base >= mn
-        res = np.zeros(valid.size, np.int64)
-        sub = np.flatnonzero(~over)
-        if sub.size:
-            steps = base[sub]
-            a = _batch_anc(P, vk[sub], steps)
-            b = _batch_anc(P, vl[sub], steps)
-            still = np.ones(sub.size, bool)
-            acc = np.zeros(sub.size, np.int64)
-            for _ in range(2):
-                la = L[a]
-                eq = (la == L[b]) & (la != 0)
-                still &= eq
-                acc += still
-                a = P[a]
-                b = P[b]
-            res[sub] = acc
-        lift[valid] = np.where(over, mn, base + res)
-    raw = matched + np.where(full, lift, 0)
-    out = np.minimum(raw, np.minimum(dep[k], dep[l]) + 1)
-    return np.append(out, np.int64(-1))
-
-
-def _skew(lab: np.ndarray, par: np.ndarray, dep: np.ndarray, rec: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Recursive sample-and-merge suffix sorting; labels must be >= 1."""
-    n = int(lab.size)
-    rec["cur"] += 1
-    rec["max"] = max(rec["max"], rec["cur"])
-    try:
-        if n <= _BASE_CASE:
-            sa, lcp = _reference_order(lab.tolist(), par.tolist())
-            return np.asarray(sa, np.int64), np.asarray(lcp, np.int64)
-        d = choose_depth_class(dep)
-        P, L = _ext_arrays(lab, par)
-        sample, ranks, order, nranks = rank_sample_triples(lab, P, L, dep, d)
-        ns = int(sample.size)
-        if nranks == ns:
-            sa1 = sample[order]
-            lcp1 = np.zeros(ns, np.int64)
-            if ns:
-                lcp1[ns - 1] = -1
-        else:
-            lab_c, par_c, dep_c = build_contracted(sample, ranks, P, dep)
-            sa_c, lcp_c = _skew(lab_c, par_c, dep_c, rec)
-            sa1 = sample[sa_c]
-            lcp1 = lcp_c
-        rank1 = np.full(n + 1, -1, np.int64)
-        rank1[sa1] = np.arange(ns)
-        sa2 = sort_nonsample(lab, P, dep, d, rank1)
-        labp = L[P[:n]]
-        r1 = rank1[P[:n]]
-        r2 = rank1[P[P[:n]]]
-        cls2 = (dep - d) % 3 == 2
-        merged = merge_sample_nonsample(
-            sa1.tolist(), sa2.tolist(), lab.tolist(),
-            labp.tolist(), r1.tolist(), r2.tolist(), cls2.tolist(),
-        )
-        sa = np.asarray(merged, np.int64)
-        lcp = lift_lcp(sa, lab, P, L, dep, d, rank1, lcp1)
-        return sa, lcp
-    finally:
-        rec["cur"] -= 1
+# prefix-doubling builder
 
 
 def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
-    """Sample-and-merge builder; output equals ``build_esa_reference``.
+    """Prefix-doubling builder; output equals ``build_esa_reference``.
 
-    Pass ``stats`` to receive ``{"recursion_depth": ...}``.
+    Pass ``stats`` to receive ``{"recursion_depth": rounds}``: the number of
+    doubling rounds, at most ceil(log2(height + 1)).
     """
     lab = np.asarray(tree.labels, np.int64)
+    n = int(lab.size)
+    if n == 0:
+        return TreeSuffixArray(sa=[], lcp=[], rsa=[], suffix_len=[])
     par = np.asarray(tree.parent, np.int64)
     dep = np.asarray(tree.depth, np.int64)
-    if lab.size == 0:
-        return TreeSuffixArray(sa=[], lcp=[], rsa=[], suffix_len=[])
-    lab = lab + (1 - int(lab.min()))
-    rec = {"cur": 0, "max": 0}
-    sa, lcp = _skew(lab, par, dep, rec)
+    # Index n is the sentinel: its own ancestor, rank 0 at every level.
+    anc = np.append(np.where(par < 0, n, par), n)
+    rank = np.append(np.unique(lab, return_inverse=True)[1] + 1, 0)
+    ranks, ancs = [rank], [anc]
+    while int(rank.max()) < n and bool((anc[:n] < n).any()):
+        key = rank[:n] * (n + 1) + rank[anc[:n]]
+        order = np.argsort(key)
+        sk = key[order]
+        rank = np.zeros(n + 1, np.int64)
+        rank[order] = np.cumsum(np.concatenate(([True], sk[1:] != sk[:-1])))
+        anc = anc[anc]
+        ranks.append(rank)
+        ancs.append(anc)
     if stats is not None:
-        stats["recursion_depth"] = rec["max"]
-    return _finish(sa.tolist(), lcp.tolist(), tree.depth)
+        stats["recursion_depth"] = len(ranks) - 1
+
+    sa = np.argsort(rank[:n], kind="stable")
+    u, v = sa[:-1], sa[1:]
+    cap = np.minimum(dep[u], dep[v]) + 1
+    h = np.zeros(n - 1, np.int64)
+    for k in range(len(ranks) - 1, -1, -1):
+        eq = ranks[k][u] == ranks[k][v]
+        h += eq << k
+        u = np.where(eq, ancs[k][u], u)
+        v = np.where(eq, ancs[k][v], v)
+    lcp = np.append(np.minimum(h, cap), -1)
+    return _finish(sa, lcp.tolist(), tree.depth)
+
+
+def select_builder(name: str):
+    """The builder function for a ``builder=`` name; unknown names raise.
+
+    Looked up in the module globals on each call, so a wrapper installed on
+    ``build_esa_linear`` after import is the one returned.
+    """
+    if name == "linear":
+        return build_esa_linear
+    if name == "reference":
+        return build_esa_reference
+    raise ValueError(f"unknown suffix-array builder {name!r}; expected 'linear' or 'reference'")

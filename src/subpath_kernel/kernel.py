@@ -108,17 +108,15 @@ def merged_esa(merged: MergedTree, builder: str = "linear") -> _esa.TreeSuffixAr
     suffix, so those rows are exactly the first m ranks; dropping a prefix
     of the suffix array leaves every remaining lcp entry intact.
     """
-    build = _esa.build_esa_linear if builder == "linear" else _esa.build_esa_reference
-    full = build(merged)
+    full = _esa.select_builder(builder)(merged)
     m = merged.n_components
     term = set(merged.terminals)
     assert all(v in term for v in full.sa[:m])
-    sa = full.sa[m:]
-    lcp = full.lcp[m:]
-    rsa = [-1] * len(full.rsa)
-    for i, v in enumerate(sa):
-        rsa[v] = i
-    return _esa.TreeSuffixArray(sa=sa, lcp=lcp, rsa=rsa, suffix_len=full.suffix_len)
+    rsa = [r - m for r in full.rsa]
+    for v in merged.terminals:
+        rsa[v] = -1
+    return _esa.TreeSuffixArray(sa=full.sa[m:], lcp=full.lcp[m:], rsa=rsa,
+                                suffix_len=full.suffix_len)
 
 
 def _sweep(sa, lcp, depth, source, w) -> float:

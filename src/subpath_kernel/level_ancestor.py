@@ -25,10 +25,6 @@ class LevelAncestorIndex:
         self._rows_np = rows
         self._rows = [r.tolist() for r in rows]
 
-    @classmethod
-    def for_tree(cls, tree) -> "LevelAncestorIndex":
-        return cls(tree.parent, tree.depth)
-
     def query(self, v: int, j: int) -> int:
         """The j-th ancestor of v (j = 0 is v itself); j > depth[v] raises."""
         if j < 0 or j > self._depth[v]:
@@ -50,7 +46,3 @@ class LevelAncestorIndex:
             if mask.any():
                 cur[mask] = row[cur[mask]]
         return cur
-
-
-def level_ancestor(idx: LevelAncestorIndex, v: int, j: int) -> int:
-    return idx.query(v, j)

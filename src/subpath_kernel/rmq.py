@@ -1,7 +1,8 @@
 """Range-minimum queries over integer arrays via a doubling sparse table.
 
-Build is O(n log n) time and space; queries are O(1).  A vectorized batch
-query is provided for the suffix-array builder's lcp lifting step.
+Build is O(n log n) time and space; queries are O(1).  No production path
+uses it: it is the oracle that checks lcp arrays against direct suffix
+comparison in the tests.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class RmqIndex:
             width = self._n - (1 << j) + 1
             levels.append(np.minimum(prev[:width], prev[half:half + width]))
             j += 1
-        self._levels = levels
         self._scalar = [lv.tolist() for lv in levels]
         self._logt = _log_table(self._n)
 
@@ -53,23 +53,3 @@ class RmqIndex:
         other = row[y - (1 << j) + 1]
         first = row[x]
         return first if first <= other else other
-
-    def query_batch(self, xs, ys) -> np.ndarray:
-        """Vectorized query; callers must pass valid ranges."""
-        xs = np.asarray(xs, np.int64)
-        ys = np.asarray(ys, np.int64)
-        js = self._logt[ys - xs + 1]
-        out = np.empty(xs.size, np.int64)
-        for j in range(len(self._levels)):
-            mask = js == j
-            if not mask.any():
-                continue
-            row = self._levels[j]
-            x = xs[mask]
-            y = ys[mask]
-            out[mask] = np.minimum(row[x], row[y - (1 << j) + 1])
-        return out
-
-
-def rmq(idx: RmqIndex, x: int, y: int) -> int:
-    return idx.query(x, y)

@@ -2,8 +2,8 @@
 
 Node ids are always 0..n-1 in preorder (root = 0, a parent precedes each of
 its descendants, every subtree occupies a contiguous id range).  The id order
-is load bearing: suffix-array tie-breaking and the sample-and-merge builder
-both rely on it, so every constructor in this module validates it.
+is load bearing: suffix-array tie-breaking relies on it, so every
+constructor in this module validates it.
 """
 
 from __future__ import annotations

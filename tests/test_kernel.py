@@ -49,6 +49,11 @@ class TestParams:
     def test_boundary_one_allowed(self):
         assert KernelParams(lam=1.0).lam == 1.0
 
+    def test_unknown_builder_rejected(self):
+        t = parse_tree("a(b)")
+        with pytest.raises(ValueError, match="linaer"):
+            subpath_kernel(t, t, KernelParams(), builder="linaer")
+
 
 class TestWeightTable:
     def test_unit_decay_counts_lengths(self):

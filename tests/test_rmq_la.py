@@ -5,17 +5,17 @@ import random
 import numpy as np
 import pytest
 
-from subpath_kernel.level_ancestor import LevelAncestorIndex, level_ancestor
-from subpath_kernel.rmq import RmqIndex, rmq
+from subpath_kernel.level_ancestor import LevelAncestorIndex
+from subpath_kernel.rmq import RmqIndex
 from subpath_kernel.trees import parse_tree, random_tree
 
 
 class TestRmq:
     def test_singleton(self):
-        assert rmq(RmqIndex([5]), 0, 0) == 5
+        assert RmqIndex([5]).query(0, 0) == 5
 
     def test_small_direct(self):
-        assert rmq(RmqIndex([3, 1, 4, 1, 5]), 1, 3) == 1
+        assert RmqIndex([3, 1, 4, 1, 5]).query(1, 3) == 1
 
     def test_exhaustive_small(self):
         rng = random.Random(0)
@@ -36,18 +36,6 @@ class TestRmq:
             y = rng.randrange(x, 4096)
             assert idx.query(x, y) == min(arr[x:y + 1])
 
-    def test_batch_matches_scalar(self):
-        rng = random.Random(2)
-        arr = [rng.randint(0, 99) for _ in range(500)]
-        idx = RmqIndex(arr)
-        xs, ys = [], []
-        for _ in range(300):
-            x = rng.randrange(500)
-            xs.append(x)
-            ys.append(rng.randrange(x, 500))
-        out = idx.query_batch(np.array(xs), np.array(ys))
-        assert [int(v) for v in out] == [idx.query(x, y) for x, y in zip(xs, ys)]
-
     def test_range_errors(self):
         idx = RmqIndex([1, 2, 3])
         with pytest.raises(IndexError):
@@ -61,21 +49,21 @@ class TestRmq:
 class TestLevelAncestor:
     def test_identity(self):
         t = random_tree(30, 3, 0)
-        idx = LevelAncestorIndex.for_tree(t)
+        idx = LevelAncestorIndex(t.parent, t.depth)
         for v in range(t.n):
-            assert level_ancestor(idx, v, 0) == v
+            assert idx.query(v, 0) == v
 
     def test_chain(self):
         t = parse_tree("a(b(c))")
-        idx = LevelAncestorIndex.for_tree(t)
-        assert level_ancestor(idx, 2, 2) == 0
-        assert level_ancestor(idx, 2, 1) == 1
+        idx = LevelAncestorIndex(t.parent, t.depth)
+        assert idx.query(2, 2) == 0
+        assert idx.query(2, 1) == 1
 
     def test_against_naive_walk(self):
         rng = random.Random(3)
         for seed in range(5):
             t = random_tree(400, 4, seed)
-            idx = LevelAncestorIndex.for_tree(t)
+            idx = LevelAncestorIndex(t.parent, t.depth)
             for _ in range(2000):
                 v = rng.randrange(t.n)
                 j = rng.randint(0, t.depth[v])
@@ -86,7 +74,7 @@ class TestLevelAncestor:
 
     def test_batch_matches_scalar(self):
         t = random_tree(600, 4, 9)
-        idx = LevelAncestorIndex.for_tree(t)
+        idx = LevelAncestorIndex(t.parent, t.depth)
         rng = random.Random(4)
         vs, js = [], []
         for _ in range(500):
@@ -98,7 +86,7 @@ class TestLevelAncestor:
 
     def test_too_deep_rejected(self):
         t = parse_tree("a(b)")
-        idx = LevelAncestorIndex.for_tree(t)
+        idx = LevelAncestorIndex(t.parent, t.depth)
         with pytest.raises(IndexError):
             idx.query(1, 2)
         with pytest.raises(IndexError):
