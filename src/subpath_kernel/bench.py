@@ -2,10 +2,13 @@
 
 Everything here reports orderings, ratios and log-log slopes — never
 absolute expectations — because wall-clock values are hardware-bound.
-Timing protocol: one discarded warm-up call, then the median of >= 5
-repetitions, each repetition averaging enough inner iterations to clear a
-minimum measurable duration.  Tree generation is deterministic per seed so
-re-runs cover identical inputs.
+Timing protocol: one discarded warm-up call per configuration, then the
+median of >= 5 repetitions, each repetition averaging enough inner
+iterations to clear a minimum measurable duration.  The configurations of
+one series are timed in interleaved rounds, so a drift in machine speed
+while the series runs scales every point alike and leaves its slopes and
+ratios intact.  Tree generation is deterministic per seed so re-runs cover
+identical inputs.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -52,29 +56,38 @@ class BenchReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def measure(fn, *, reps: int = 5, min_time: float = 0.01) -> tuple[float, list[float], int]:
-    """Median per-call seconds over ``reps`` runs, after a discarded warm-up.
+def _batch(fn, iters: int) -> float:
+    t0 = time.perf_counter()
+    for _ in range(iters):
+        fn()
+    return time.perf_counter() - t0
 
-    Each run loops ``fn`` enough times that its duration exceeds
-    ``min_time``, then divides; returns (median, runs, inner iterations).
+
+def measure(fns, *, reps: int = 5, min_time: float = 0.01) -> list[tuple[float, list[float], int]]:
+    """Per-call (median seconds, runs, inner iterations) for each callable.
+
+    Each callable gets a discarded warm-up call and an inner iteration
+    count that makes one batch last at least ``min_time``.  Then ``reps``
+    rounds each time one batch of every callable, in forward order on even
+    rounds and reverse order on odd ones.  A common speed factor per round
+    passes through the median unchanged, so the ratio of two medians is
+    the ratio of the code's costs; alternating the order cancels a steady
+    drift within a round.
     """
-    fn()
-    iters = 1
-    while True:
-        t0 = time.perf_counter()
-        for _ in range(iters):
-            fn()
-        dt = time.perf_counter() - t0
-        if dt >= min_time:
-            break
-        iters *= 2
-    runs = [dt / iters]
-    for _ in range(reps - 1):
-        t0 = time.perf_counter()
-        for _ in range(iters):
-            fn()
-        runs.append((time.perf_counter() - t0) / iters)
-    return float(np.median(runs)), runs, iters
+    iters = []
+    for fn in fns:
+        k = 1
+        dt = _batch(fn, 1)
+        while dt < min_time:
+            k *= 2
+            dt = _batch(fn, k)
+        iters.append(k)
+    runs: list[list[float]] = [[] for _ in fns]
+    for r in range(reps):
+        order = range(len(fns)) if r % 2 == 0 else range(len(fns) - 1, -1, -1)
+        for i in order:
+            runs[i].append(_batch(fns[i], iters[i]) / iters[i])
+    return [(float(np.median(rs)), rs, k) for rs, k in zip(runs, iters)]
 
 
 def loglog_slope(sizes, times) -> float:
@@ -101,16 +114,17 @@ def bench_kernel(
         config={"sizes": sizes, "sigma": sigma, "lam": lam, "seed": seed, "reps": reps},
         series={"linear": [], "reference": []},
     )
+    configs, fns = [], []
     for i, n in enumerate(sizes):
         t1 = random_tree(n, sigma, seed + 2 * i)
         t2 = random_tree(n, sigma, seed + 2 * i + 1)
         for builder in ("linear", "reference"):
-            med, runs, iters = measure(
-                lambda: subpath_kernel(t1, t2, params, builder=builder), reps=reps
-            )
-            report.series[builder].append(
-                BenchPoint(size=n, seconds=med, runs=runs, inner_iters=iters)
-            )
+            configs.append((builder, n))
+            fns.append(partial(subpath_kernel, t1, t2, params, builder=builder))
+    for (builder, n), (med, runs, iters) in zip(configs, measure(fns, reps=reps)):
+        report.series[builder].append(
+            BenchPoint(size=n, seconds=med, runs=runs, inner_iters=iters)
+        )
     for builder in ("linear", "reference"):
         report.slopes[builder] = loglog_slope(report.sizes(builder), report.times(builder))
     report.ratios["linear_over_reference_at_max"] = (
@@ -165,6 +179,7 @@ def bench_predict(
     )
     fixed_input = random_tree(input_n, sigma, seed - 1)
     biggest = _support_set(max(m_values), sv_n, sigma, lam, seed)
+    indexed, direct = [], []
     for m in m_values:
         sv = SupportSet(
             trees=biggest.trees[:m],
@@ -172,17 +187,8 @@ def bench_predict(
             bias=0.0,
             params=biggest.params,
         )
-        idx = build_master_index(sv)
-        med, runs, iters = measure(lambda: predict(idx, fixed_input), reps=reps)
-        report.series["predict_vs_m"].append(
-            BenchPoint(size=m, seconds=med, runs=runs, inner_iters=iters)
-        )
-        med, runs, iters = measure(
-            lambda: predict_direct(sv, fixed_input, builder="reference"), reps=reps
-        )
-        report.series["direct_vs_m"].append(
-            BenchPoint(size=m, seconds=med, runs=runs, inner_iters=iters)
-        )
+        indexed.append(partial(predict, build_master_index(sv), fixed_input))
+        direct.append(partial(predict_direct, sv, fixed_input, builder="reference"))
     sv = SupportSet(
         trees=biggest.trees[:m_fixed],
         alphas=biggest.alphas[:m_fixed],
@@ -190,12 +196,15 @@ def bench_predict(
         params=biggest.params,
     )
     idx = build_master_index(sv)
-    for k, n in enumerate(input_sizes):
-        t = random_tree(n, sigma, seed + 10_000 + k)
-        med, runs, iters = measure(lambda: predict(idx, t), reps=reps)
-        report.series["predict_vs_n"].append(
-            BenchPoint(size=n, seconds=med, runs=runs, inner_iters=iters)
-        )
+    by_n = [partial(predict, idx, random_tree(n, sigma, seed + 10_000 + k))
+            for k, n in enumerate(input_sizes)]
+    for name, sizes, fns in (("predict_vs_m", m_values, indexed),
+                             ("direct_vs_m", m_values, direct),
+                             ("predict_vs_n", input_sizes, by_n)):
+        for size, (med, runs, iters) in zip(sizes, measure(fns, reps=reps)):
+            report.series[name].append(
+                BenchPoint(size=size, seconds=med, runs=runs, inner_iters=iters)
+            )
     times_m = report.times("predict_vs_m")
     report.ratios["predict_flatness_vs_m"] = max(times_m) / min(times_m)
     report.slopes["direct_vs_m"] = loglog_slope(report.sizes("direct_vs_m"), report.times("direct_vs_m"))

@@ -130,34 +130,40 @@ def _sweep(sa, lcp, depth, source, w) -> float:
     terminal label, but cross pairs never match through distinct terminals,
     so charged depths stay within real labels.
     """
+    n = len(sa)
+    if n == 0:
+        return 0.0
+    # Gather each rank's suffix depth and tree up front, so the stack loop
+    # reads its inputs in rank order instead of jumping through node ids.
+    hs = [depth[v] + 1 for v in sa]
+    ones = [source[v] == 1 for v in sa]
+    bs = list(lcp[:n - 1])
+    bs.append(0)
     total = 0.0
     stack = [[-1, 0, 0]]
-    n = len(sa)
-    for i in range(n):
-        v = sa[i]
-        h = depth[v] + 1
-        if stack[-1][0] == h:
-            top = stack[-1]
-        else:
+    top = stack[0]
+    for h, one, b in zip(hs, ones, bs):
+        if top[0] != h:
             top = [h, 0, 0]
             stack.append(top)
-        if source[v] == 1:
+        if one:
             top[1] += 1
         else:
             top[2] += 1
-        b = lcp[i] if i + 1 < n else 0
-        while stack[-1][0] > b:
+        while top[0] > b:
             ph, c1, c2 = stack.pop()
-            g = stack[-1][0]
+            top = stack[-1]
+            g = top[0]
             if g < b:
                 g = b
             if c1 and c2:
                 total += (w[ph] - (w[g] if g > 0 else 0.0)) * c1 * c2
-            if stack[-1][0] == g:
-                stack[-1][1] += c1
-                stack[-1][2] += c2
+            if top[0] == g:
+                top[1] += c1
+                top[2] += c2
             else:
-                stack.append([g, c1, c2])
+                top = [g, c1, c2]
+                stack.append(top)
     return total
 
 
