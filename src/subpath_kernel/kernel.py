@@ -21,6 +21,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 import math
+import os
 
 from . import esa as _esa
 from .trees import Tree
@@ -228,14 +229,18 @@ def gram_matrix(
 ) -> list[list[float]]:
     """Symmetric kernel matrix; optionally cosine-normalized.
 
-    ``jobs > 1`` fans the lower-triangle entries out to worker processes.
+    ``jobs > 1`` fans the lower-triangle entries out to worker processes,
+    at most one per CPU; ``jobs < 1`` raises.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs, os.cpu_count() or 1)
     n = len(trees)
     gram = [[0.0] * n for _ in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1)]
-    if jobs > 1 and len(pairs) > 1:
+    if workers > 1 and len(pairs) > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_pool_init, initargs=(trees, params)
+            max_workers=workers, initializer=_pool_init, initargs=(trees, params)
         ) as pool:
             for i, j, value in pool.map(_pool_entry, pairs, chunksize=8):
                 gram[i][j] = gram[j][i] = value

@@ -25,10 +25,14 @@ kernels and serves as the independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
+
+import numpy as np
 
 from .kernel import KernelParams, MergedTree, merge_forest, merged_esa, subpath_kernel, weight_table
 from .level_ancestor import LevelAncestorIndex
-from .trees import LabelTable, Tree, parse_tree, serialize_tree
+from .rmq import RmqIndex
+from .trees import LabelTable, Tree, TreeParseError, parse_tree, serialize_tree
 
 
 @dataclass(frozen=True)
@@ -43,17 +47,18 @@ class SupportSet:
     def __post_init__(self) -> None:
         if len(self.trees) != len(self.alphas):
             raise ValueError("need one coefficient per support tree")
+        if not all(map(math.isfinite, [self.bias, *self.alphas])):
+            raise ValueError("bias and alphas must be finite numbers")
 
 
 @dataclass
 class MasterIndex:
     """Annotated lcp-interval tree over the merged support forest.
 
-    Interval id 0 is the root (empty string, full rank range).  Parallel
-    arrays index intervals; ``leaf_of`` maps a suffix-array rank to the
-    deepest interval containing it.  ``iv_children`` maps the branching
-    label to the child interval; ``iv_slink`` is the interval of the same
-    string minus its first label.
+    Interval id 0 is the root (empty string, full rank range), and ids are
+    a preorder.  Parallel arrays index intervals; ``iv_rb`` is exclusive.
+    ``iv_children`` maps the branching label to the child interval;
+    ``iv_slink`` is the interval of the same string minus its first label.
     """
 
     lam: float
@@ -69,7 +74,6 @@ class MasterIndex:
     iv_wv: list[float]
     iv_val: list[float]
     iv_slink: list[int]
-    leaf_of: list[int]
     la: LevelAncestorIndex
 
     @property
@@ -101,158 +105,96 @@ class MatchStats:
         return self.comparisons + self.descents + self.slinks + self.skips
 
 
-def _interval_tree(sa, lcp, suffix_len):
-    """One sweep over the lcp array materializes every lcp interval.
+def _intervals(lcp, hs):
+    """Every lcp interval as parallel (depth, lb, rb) arrays, root first.
 
-    Open intervals live on a stack as [string depth, left bound, id].  Rank
-    i first joins the top entry when its full suffix ties it, otherwise
-    opens its own leaf entry; then the lcp boundary to rank i+1 closes all
-    deeper entries, inserting the enclosing interval when absent.
+    ``lcp`` holds the boundary lcp of each rank with the next (last entry
+    -1), ``hs`` the full suffix length of each rank.  The intervals are the
+    root, the maximal run of boundaries >= b around each boundary of
+    positive lcp b (one per distinct depth and left end), and a singleton
+    for each rank whose full suffix ties neither neighbour.  rb is
+    exclusive.
     """
-    n = len(sa)
-    iv_depth: list[int] = [0]
-    iv_lb: list[int] = [0]
-    iv_rb: list[int] = [-1]
-    iv_parent: list[int] = [-1]
-    leaf_of: list[int] = [-1] * n
-    stack: list[list[int]] = [[0, 0, 0]]
-
-    def make(h: int, lb: int) -> int:
-        iv_depth.append(h)
-        iv_lb.append(lb)
-        iv_rb.append(-1)
-        iv_parent.append(-1)
-        return len(iv_depth) - 1
-
-    for i in range(n):
-        h = suffix_len[sa[i]]
-        if stack[-1][0] != h:
-            stack.append([h, i, make(h, i)])
-        leaf_of[i] = stack[-1][2]
-        b = lcp[i]
-        if b < 0:
-            b = 0
-        while stack[-1][0] > b:
-            _, lb2, id2 = stack.pop()
-            iv_rb[id2] = i + 1
-            if stack[-1][0] < b:
-                stack.append([b, lb2, make(b, lb2)])
-            iv_parent[id2] = stack[-1][2]
-    iv_rb[0] = n
-    return iv_depth, iv_lb, iv_rb, iv_parent, leaf_of
-
-
-def _interval_lca(iv_depth, iv_parent):
-    """Binary-lifting LCA over the interval tree; returns (rows, level)."""
-    m = len(iv_depth)
-    order = sorted(range(m), key=iv_depth.__getitem__)
-    level = [0] * m
-    for c in order:
-        p = iv_parent[c]
-        if p != -1:
-            level[c] = level[p] + 1
-    rows = [[(p if p != -1 else c) for c, p in enumerate(iv_parent)]]
-    maxl = max(level, default=0)
-    while (1 << len(rows)) <= maxl:
-        prev = rows[-1]
-        rows.append([prev[x] for x in prev])
-    return rows, level
-
-
-def _lca(rows, level, a: int, b: int) -> int:
-    if level[a] < level[b]:
-        a, b = b, a
-    diff = level[a] - level[b]
-    j = 0
-    while diff:
-        if diff & 1:
-            a = rows[j][a]
-        diff >>= 1
-        j += 1
-    if a == b:
-        return a
-    for j in range(len(rows) - 1, -1, -1):
-        if rows[j][a] != rows[j][b]:
-            a = rows[j][a]
-            b = rows[j][b]
-    return rows[0][a]
+    n = hs.size
+    b = lcp[:-1]
+    pos = np.flatnonzero(b > 0)
+    lo, hi = RmqIndex(b).run_bounds(pos, b[pos])
+    _, first = np.unique(b[pos] * (n + 1) + lo, return_index=True)
+    left = np.concatenate(([-1], b))
+    single = np.flatnonzero((hs != left) & (hs != lcp))
+    depth = np.concatenate(([0], b[pos[first]], hs[single]))
+    lb = np.concatenate(([0], lo[first], single))
+    rb = np.concatenate(([n], hi[first] + 2, single + 1))
+    return depth, lb, rb
 
 
 def build_master_index(sv: SupportSet, *, builder: str = "linear") -> MasterIndex:
     merged = merge_forest(sv.trees)
     arr = merged_esa(merged, builder=builder)
-    sa, lcp, rsa = arr.sa, arr.lcp, arr.rsa
-    slen = arr.suffix_len
-    n = len(sa)
-    iv_depth, iv_lb, iv_rb, iv_parent, leaf_of = _interval_tree(sa, lcp, slen)
-    m = len(iv_depth)
-    labels = merged.labels
-    parent = merged.parent
-    la = LevelAncestorIndex(parent, merged.depth)
+    sa = np.asarray(arr.sa, np.int64)
+    lcp = np.asarray(arr.lcp, np.int64)
+    n = sa.size
+    slen = np.asarray(arr.suffix_len, np.int64)
+    depth, lb, rb = _intervals(lcp, slen[sa])
+    # Sorted by (lb, depth) the ids are a preorder: parents come first.
+    order = np.lexsort((depth, lb))
+    depth, lb, rb = depth[order], lb[order], rb[order]
+    m = depth.size
+
+    # Intervals of one depth are disjoint, so the one at depth d holding
+    # rank r is the last whose (depth, lb) key is at most (d, r).
+    keys = depth * (n + 1) + lb
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+
+    def holding(d, r):
+        return by_key[np.searchsorted(sorted_keys, d * (n + 1) + r, side="right") - 1]
+
+    # Non-root intervals: the parent's depth is the larger lcp just outside
+    # the interval.  The string minus its first label is a prefix of the
+    # suffix of the parent node of the interval's first suffix, so its
+    # rank finds the suffix link.  A string [label, terminal] links to a
+    # bare terminal, whose rank was dropped; that link is never followed
+    # while matching terminal-free input, so the root stands in.
+    first = sa[lb[1:]]
+    ext = np.concatenate(([-1], lcp))
+    parent = np.append(-1, holding(np.maximum(np.maximum(ext[lb[1:]], ext[rb[1:]]), 0), lb[1:]))
+    up = np.asarray(arr.rsa, np.int64)[np.asarray(merged.parent, np.int64)[first]]
+    slink = np.append(0, np.where(up < 0, 0, holding(depth[1:] - 1, up)))
+
+    la = LevelAncestorIndex(merged.parent, merged.depth)
+    blab = la.query_batch(first, depth[parent[1:]])
+    blabels = np.asarray(merged.labels, np.int64)[blab].tolist()
 
     # alpha mass per interval: prefix sums over ranks by source tree.
-    pref = [0.0] * (n + 1)
-    for i in range(n):
-        pref[i + 1] = pref[i] + sv.alphas[merged.source[sa[i]] - 1]
-    iv_wv = [pref[iv_rb[c]] - pref[iv_lb[c]] for c in range(m)]
+    alpha = np.asarray([0.0, *sv.alphas])[np.asarray(merged.source, np.int64)[sa]]
+    pref = np.cumsum(np.concatenate(([0.0], alpha)))
+    iv_wv = (pref[rb] - pref[lb]).tolist()
+    weights = weight_table(int(slen.max(initial=1)), sv.params.lam)
 
-    maxh = max(slen, default=1)
-    weights = weight_table(maxh, sv.params.lam)
-
-    # branching labels, then children maps and telescoped values top-down.
-    non_root = [c for c in range(1, m)]
-    if non_root:
-        vs = [sa[iv_lb[c]] for c in non_root]
-        js = [iv_depth[iv_parent[c]] for c in non_root]
-        blab = la.query_batch(vs, js)
+    iv_depth = depth.tolist()
+    iv_parent = parent.tolist()
     iv_children: list[dict[int, int]] = [{} for _ in range(m)]
-    for k, c in enumerate(non_root):
-        iv_children[iv_parent[c]][labels[int(blab[k])]] = c
-
     iv_val = [0.0] * m
-    for c in sorted(range(m), key=iv_depth.__getitem__):
-        p = iv_parent[c]
-        if p != -1:
-            iv_val[c] = iv_val[p] + (iv_wv[p] - iv_wv[c]) * weights[iv_depth[p]]
-
-    # suffix links: drop the first label by stepping both bounding suffixes
-    # to their parents and taking the interval LCA of their leaf loci.
-    rows, level = _interval_lca(iv_depth, iv_parent)
-    iv_slink = [-1] * m
-    iv_slink[0] = 0
     for c in range(1, m):
-        if iv_depth[c] == 1:
-            iv_slink[c] = 0
-            continue
-        p1 = parent[sa[iv_lb[c]]]
-        p2 = parent[sa[iv_rb[c] - 1]]
-        r1 = rsa[p1]
-        r2 = rsa[p2]
-        if r1 < 0 or r2 < 0:
-            # string is [label, terminal]: the linked string is a bare
-            # terminal whose rank was dropped.  Unreachable while matching
-            # terminal-free input, so any target works; use the root.
-            iv_slink[c] = 0
-            continue
-        t = _lca(rows, level, leaf_of[r1], leaf_of[r2])
-        assert iv_depth[t] == iv_depth[c] - 1
-        iv_slink[c] = t
+        p = iv_parent[c]
+        iv_children[p][blabels[c - 1]] = c
+        iv_val[c] = iv_val[p] + (iv_wv[p] - iv_wv[c]) * weights[iv_depth[p]]
 
     return MasterIndex(
         lam=sv.params.lam,
         bias=sv.bias,
         weights=weights,
         merged=merged,
-        sa=sa,
+        sa=arr.sa,
         iv_depth=iv_depth,
-        iv_lb=iv_lb,
-        iv_rb=iv_rb,
+        iv_lb=lb.tolist(),
+        iv_rb=rb.tolist(),
         iv_parent=iv_parent,
         iv_children=iv_children,
         iv_wv=iv_wv,
         iv_val=iv_val,
-        iv_slink=iv_slink,
-        leaf_of=leaf_of,
+        iv_slink=slink.tolist(),
         la=la,
     )
 
@@ -351,24 +293,45 @@ def save_model(path: str, sv: SupportSet, table: LabelTable | None = None) -> No
         fh.write("\n".join(lines) + "\n")
 
 
+def _model_float(lineno: int, text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"model line {lineno}: {what} is not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"model line {lineno}: {what} must be finite, got {text!r}")
+    return value
+
+
 def load_model(path: str, table: LabelTable | None = None) -> SupportSet:
+    """Read a ``save_model`` file; errors name the 1-based file line."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("lambda "):
-        raise ValueError("model file must start with a 'lambda <value>' line")
-    lam = float(lines[0].split(None, 1)[1])
+        rows = [(k, ln.strip()) for k, ln in enumerate(fh, start=1)]
+    rows = [(k, ln) for k, ln in rows if ln and not ln.startswith("#")]
+    if not rows or not rows[0][1].startswith("lambda "):
+        where = f"model line {rows[0][0]}: " if rows else ""
+        raise ValueError(f"{where}model file must start with a 'lambda <value>' line")
+    k, ln = rows[0]
+    lam = _model_float(k, ln.split(None, 1)[1], "lambda")
+    try:
+        params = KernelParams(lam=lam)
+    except ValueError as exc:
+        raise ValueError(f"model line {k}: {exc}") from None
     bias = 0.0
-    rest = lines[1:]
-    if rest and rest[0].startswith("bias "):
-        bias = float(rest[0].split(None, 1)[1])
+    rest = rows[1:]
+    if rest and rest[0][1].startswith("bias "):
+        k, ln = rest[0]
+        bias = _model_float(k, ln.split(None, 1)[1], "bias")
         rest = rest[1:]
     trees: list[Tree] = []
     alphas: list[float] = []
-    for k, ln in enumerate(rest):
+    for k, ln in rest:
         parts = ln.split("\t", 1)
         if len(parts) != 2:
-            raise ValueError(f"model line {k + 1}: expected '<alpha>\\t<tree>'")
-        alphas.append(float(parts[0]))
-        trees.append(parse_tree(parts[1], table))
-    return SupportSet(trees=trees, alphas=alphas, bias=bias, params=KernelParams(lam=lam))
+            raise ValueError(f"model line {k}: expected '<alpha>\\t<tree>'")
+        alphas.append(_model_float(k, parts[0], "alpha"))
+        try:
+            trees.append(parse_tree(parts[1], table))
+        except TreeParseError as exc:
+            raise exc.located(f"model line {k}") from None
+    return SupportSet(trees=trees, alphas=alphas, bias=bias, params=params)

@@ -1,8 +1,9 @@
 """Range-minimum queries over integer arrays via a doubling sparse table.
 
-Build is O(n log n) time and space; queries are O(1).  No production path
-uses it: it is the oracle that checks lcp arrays against direct suffix
-comparison in the tests.
+Build is O(n log n) time and space; ``query`` is O(1) and ``run_bounds``
+answers a batch of nearest-smaller-value queries in O(log n) vectorized
+steps.  The master index (``predict.build_master_index``) finds its lcp
+intervals with ``run_bounds``; the tests use ``query`` as an oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ def _log_table(n: int) -> np.ndarray:
 
 
 class RmqIndex:
-    """Sparse table answering min over inclusive index ranges."""
+    """Sparse table: level j holds the minimum of each window of 2**j values."""
 
     def __init__(self, values) -> None:
         arr = np.asarray(values, np.int64)
@@ -36,7 +37,7 @@ class RmqIndex:
             width = self._n - (1 << j) + 1
             levels.append(np.minimum(prev[:width], prev[half:half + width]))
             j += 1
-        self._scalar = [lv.tolist() for lv in levels]
+        self._levels = levels
         self._logt = _log_table(self._n)
 
     def __len__(self) -> int:
@@ -49,7 +50,28 @@ class RmqIndex:
         if x < 0 or y >= self._n:
             raise IndexError(f"range [{x}, {y}] out of bounds for size {self._n}")
         j = int(self._logt[y - x + 1])
-        row = self._scalar[j]
-        other = row[y - (1 << j) + 1]
-        first = row[x]
-        return first if first <= other else other
+        row = self._levels[j]
+        return int(min(row[x], row[y - (1 << j) + 1]))
+
+    def run_bounds(self, pos, floor) -> tuple[np.ndarray, np.ndarray]:
+        """Maximal runs values[lo..hi] >= floor around each position.
+
+        Vectorized over ``pos`` and ``floor``; values[pos] >= floor must
+        hold.  lo - 1 and hi + 1 are the nearest positions left and right of
+        pos holding a value below floor (-1 and n when there is none).  Each
+        level extends both ends by one whole window when that window stays
+        at or above floor, largest windows first.
+        """
+        floor = np.asarray(floor, np.int64)
+        lo = np.array(pos, np.int64, copy=True)
+        hi = lo.copy()
+        for j in range(len(self._levels) - 1, -1, -1):
+            row = self._levels[j]
+            last = row.size - 1
+            s = lo - (1 << j)
+            ok = (s >= 0) & (row[np.maximum(s, 0)] >= floor)
+            lo = np.where(ok, s, lo)
+            s = hi + 1
+            ok = (s <= last) & (row[np.minimum(s, last)] >= floor)
+            hi = np.where(ok, hi + (1 << j), hi)
+        return lo, hi

@@ -20,7 +20,12 @@ class TreeParseError(ValueError):
 
     def __init__(self, message: str, offset: int) -> None:
         super().__init__(f"{message} (byte {offset})")
+        self.message = message
         self.offset = offset
+
+    def located(self, where: str) -> "TreeParseError":
+        """The same error with ``where`` (say ``"line 3"``) prefixed."""
+        return TreeParseError(f"{where}: {self.message}", self.offset)
 
 
 class LabelTable:
@@ -39,10 +44,10 @@ class LabelTable:
         return len(self._names)
 
     def intern(self, name: str) -> int:
-        if not name or any(c in _RESERVED or c.isspace() for c in name):
-            raise ValueError(f"invalid label spelling: {name!r}")
         lid = self._ids.get(name)
         if lid is None:
+            if not name or any(c in _RESERVED or c.isspace() for c in name):
+                raise ValueError(f"invalid label spelling: {name!r}")
             lid = len(self._names)
             self._ids[name] = lid
             self._names.append(name)
@@ -228,7 +233,7 @@ def parse_corpus(lines: Iterable[str], table: LabelTable) -> list[Tree]:
         try:
             trees.append(parse_tree(stripped, table))
         except TreeParseError as exc:
-            raise TreeParseError(f"line {lineno}: {exc.args[0]}", exc.offset) from None
+            raise exc.located(f"line {lineno}") from None
     return trees
 
 

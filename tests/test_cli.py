@@ -86,6 +86,11 @@ class TestGramCommand:
         f = write(tmp_path / "c.trees", "# nothing\n")
         assert main(["gram", f]) == 2
 
+    def test_zero_jobs_exit_2(self, tmp_path, capsys):
+        f = write(tmp_path / "c.trees", "a(b)\nb\n")
+        assert main(["gram", "--jobs", "0", f]) == 2
+        assert "jobs" in capsys.readouterr().err
+
 
 class TestEsaDumpCommand:
     def test_exact_dump(self, tmp_path, capsys):
@@ -124,6 +129,20 @@ class TestPredictCommand:
     def test_missing_model_exit_2(self, tmp_path, capsys):
         f = write(tmp_path / "in.trees", "a\n")
         assert main(["predict", "--model", str(tmp_path / "nope.txt"), f]) == 2
+
+    def test_empty_model_prints_bias(self, tmp_path, capsys):
+        model = write(tmp_path / "model.txt", "lambda 0.5\nbias 0.25\n")
+        f = write(tmp_path / "in.trees", "a(b)\nc\n")
+        assert main(["predict", "--model", model, f]) == 0
+        assert capsys.readouterr().out == "0.25\n0.25\n"
+
+    def test_non_finite_coefficient_exit_2(self, tmp_path, capsys):
+        model = write(tmp_path / "model.txt", "lambda 0.5\nbias nan\n1\ta\n")
+        f = write(tmp_path / "in.trees", "a\n")
+        assert main(["predict", "--model", model, f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "model line" in captured.err and "finite" in captured.err
 
 
 class TestGenCommand:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_close, shuffle_children
+from subpath_kernel import kernel as kernel_module
 from subpath_kernel.esa import suffix
 from subpath_kernel.kernel import (
     KernelParams,
@@ -275,3 +276,19 @@ class TestGram:
         serial = gram_matrix(trees, p, jobs=1)
         parallel = gram_matrix(trees, p, jobs=2)
         assert serial == parallel
+
+    def test_jobs_below_one_rejected(self):
+        t = parse_tree("a(b)")
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="jobs"):
+                gram_matrix([t, t], KernelParams(lam=0.5), jobs=jobs)
+
+    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(kernel_module.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(kernel_module, "ProcessPoolExecutor", no_pool)
+        trees = [random_tree(8 + i, 3, 300 + i) for i in range(4)]
+        p = KernelParams(lam=0.5)
+        assert gram_matrix(trees, p, jobs=8) == gram_matrix(trees, p, jobs=1)

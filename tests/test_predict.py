@@ -3,10 +3,11 @@ matching statistics, and equivalence with the direct kernel sum."""
 
 import random
 
+import numpy as np
 import pytest
 
 from conftest import naive_match_lengths, rel_close
-from subpath_kernel.kernel import KernelParams, subpath_kernel
+from subpath_kernel.kernel import KernelParams, merged_esa, subpath_kernel
 from subpath_kernel.predict import (
     MasterIndex,
     SupportSet,
@@ -17,7 +18,15 @@ from subpath_kernel.predict import (
     predict_direct,
     save_model,
 )
-from subpath_kernel.trees import LabelTable, Tree, parse_tree, path_tree, random_tree, star_tree
+from subpath_kernel.trees import (
+    LabelTable,
+    Tree,
+    TreeParseError,
+    parse_tree,
+    path_tree,
+    random_tree,
+    star_tree,
+)
 
 
 def make_sv(m, max_n, sigma, seed, lam=0.5, signed=False, bias=0.0):
@@ -36,7 +45,71 @@ def interval_string(idx: MasterIndex, c: int) -> list[int]:
     return out
 
 
+def check_interval_structure(idx: MasterIndex) -> None:
+    """The index intervals are exactly the lcp intervals, parents nested.
+
+    An interval of depth d must be a maximal rank range whose suffixes all
+    share a prefix of length d: every suffix is at least d long, every
+    inner boundary lcp is >= d, and the boundaries just outside are < d.
+    Every positive boundary lcp and every full suffix must lie inside an
+    interval of its depth, and each parent must be the smallest enclosing
+    interval, found here by a containment stack over the intervals.
+    """
+    n = len(idx.sa)
+    lcp = np.asarray(merged_esa(idx.merged).lcp[:-1], np.int64)
+    hs = np.asarray([idx.merged.depth[v] + 1 for v in idx.sa], np.int64)
+    m = idx.n_intervals
+    assert (idx.iv_depth[0], idx.iv_lb[0], idx.iv_rb[0], idx.iv_parent[0]) == (0, 0, n, -1)
+    covered = np.zeros(lcp.size, bool)
+    located = np.zeros(n, bool)
+    for c in range(1, m):
+        d, lb, rb = idx.iv_depth[c], idx.iv_lb[c], idx.iv_rb[c]
+        assert 0 <= lb < rb <= n and d > 0
+        assert hs[lb:rb].min() >= d
+        assert lcp[lb:rb - 1].min(initial=d) >= d
+        assert lb == 0 or lcp[lb - 1] < d
+        assert rb == n or lcp[rb - 1] < d
+        covered[lb:rb - 1] |= lcp[lb:rb - 1] == d
+        located[lb:rb] |= hs[lb:rb] == d
+    assert covered[lcp > 0].all() and located.all()
+    assert len({(idx.iv_depth[c], idx.iv_lb[c]) for c in range(m)}) == m
+    stack: list[int] = []
+    for c in sorted(range(m), key=lambda c: (idx.iv_lb[c], -idx.iv_rb[c], idx.iv_depth[c])):
+        while stack and idx.iv_rb[stack[-1]] < idx.iv_rb[c]:
+            stack.pop()
+        assert idx.iv_parent[c] == (stack[-1] if stack else -1)
+        stack.append(c)
+
+
 class TestIndexStructure:
+    def test_intervals_are_maximal_and_nested(self):
+        for seed in range(30):
+            rng = random.Random(seed)
+            sv = make_sv(rng.randint(1, 12), 40, rng.choice([1, 2, 3, 5]), 3000 + seed)
+            check_interval_structure(build_master_index(sv))
+
+    @pytest.mark.parametrize("trees", [
+        [path_tree(30), path_tree(17)],
+        [star_tree(25), star_tree(4)],
+        [path_tree(12), star_tree(10), path_tree(1)],
+        [path_tree(4097)],
+    ], ids=["paths", "stars", "mixed", "path-4097"])
+    def test_degenerate_shapes(self, trees):
+        sv = SupportSet(trees=trees, alphas=[1.0] * len(trees), bias=0.0,
+                        params=KernelParams(lam=0.5))
+        idx = build_master_index(sv)
+        check_interval_structure(idx)
+        assert all(p < c for c, p in enumerate(idx.iv_parent))
+
+    def test_empty_support_set_predicts_bias(self):
+        sv = SupportSet(trees=[], alphas=[], bias=-0.75, params=KernelParams(lam=0.5))
+        idx = build_master_index(sv)
+        assert idx.n_intervals == 1
+        check_interval_structure(idx)
+        for t in (parse_tree("a"), random_tree(20, 3, 1)):
+            assert predict(idx, t) == -0.75
+            assert matching_statistics(idx, t).lengths == [0] * t.n
+
     def test_single_node_support(self):
         table = LabelTable()
         sv = SupportSet(trees=[parse_tree("a", table)], alphas=[1.0], bias=0.0,
@@ -293,6 +366,40 @@ class TestModelFile:
         path.write_text("lambda 1\nno-tab-here\n")
         with pytest.raises(ValueError):
             load_model(str(path))
+
+    def test_errors_name_the_file_line(self, tmp_path):
+        head = "# model\nlambda 0.5\n\nbias 0.25\n# rows\n1\ta\n\n"
+        cases = [
+            (head + "no-tab-here\n", ValueError, "model line 8:"),
+            (head + "0.5x\ta\n", ValueError, "model line 8: alpha"),
+            (head + "1\ta(b\n", TreeParseError, "model line 8: unbalanced brackets (byte 3)"),
+            ("\nlambda x\n", ValueError, "model line 2: lambda"),
+            ("lambda 2\n", ValueError, "model line 1: lam"),
+            ("lambda 1\n#\nbias 1e999x\n", ValueError, "model line 3: bias"),
+            ("\nbias 1\n", ValueError, "model line 2:"),
+        ]
+        path = tmp_path / "model.txt"
+        for text, error, message in cases:
+            path.write_text(text)
+            with pytest.raises(error) as exc:
+                load_model(str(path))
+            assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("text", ["lambda 1\nbias nan\n", "lambda 1\ninf\ta\n",
+                                      "lambda 1\n1\ta\n-inf\tb\n", "lambda nan\n"])
+    def test_non_finite_values_rejected(self, tmp_path, text):
+        path = tmp_path / "model.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="finite"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coefficients_rejected(self, bad):
+        t = parse_tree("a")
+        with pytest.raises(ValueError, match="finite"):
+            SupportSet(trees=[t], alphas=[bad], bias=0.0, params=KernelParams(lam=1.0))
+        with pytest.raises(ValueError, match="finite"):
+            SupportSet(trees=[t], alphas=[1.0], bias=bad, params=KernelParams(lam=1.0))
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):

@@ -36,6 +36,29 @@ class TestRmq:
             y = rng.randrange(x, 4096)
             assert idx.query(x, y) == min(arr[x:y + 1])
 
+    def test_run_bounds_against_scan(self):
+        rng = random.Random(2)
+        arrays = [[7], [3, 3, 3, 3, 3]]
+        arrays += [[rng.randint(0, 4) for _ in range(rng.randint(1, 70))] for _ in range(30)]
+        for arr in arrays:
+            pos, floor = [], []
+            for p in range(len(arr)):
+                for f in range(min(arr) - 1, arr[p] + 1):
+                    pos.append(p)
+                    floor.append(f)
+            lo, hi = RmqIndex(arr).run_bounds(pos, floor)
+            for p, f, a, b in zip(pos, floor, lo.tolist(), hi.tolist()):
+                want_lo, want_hi = p, p
+                while want_lo > 0 and arr[want_lo - 1] >= f:
+                    want_lo -= 1
+                while want_hi < len(arr) - 1 and arr[want_hi + 1] >= f:
+                    want_hi += 1
+                assert (a, b) == (want_lo, want_hi)
+
+    def test_run_bounds_empty_batch(self):
+        lo, hi = RmqIndex([2, 1]).run_bounds([], [])
+        assert lo.size == 0 and hi.size == 0
+
     def test_range_errors(self):
         idx = RmqIndex([1, 2, 3])
         with pytest.raises(IndexError):

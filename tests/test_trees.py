@@ -227,4 +227,5 @@ class TestCorpus:
     def test_error_reports_line_number(self):
         with pytest.raises(TreeParseError) as exc:
             parse_corpus(["a", "b((" ], LabelTable())
-        assert "line 2" in str(exc.value)
+        assert str(exc.value) == "line 2: expected a label (byte 2)"
+        assert exc.value.offset == 2
