@@ -97,6 +97,17 @@ def loglog_slope(sizes, times) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
+def _check_reps(reps: int) -> None:
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
+
+
+def _check_fitted(name: str, sizes: list[int]) -> None:
+    """A log-log slope needs at least two distinct positive sizes."""
+    if len(set(sizes)) < 2 or min(sizes) < 1:
+        raise ValueError(f"{name}: a fitted series needs at least two distinct positive sizes, got {sizes}")
+
+
 def bench_kernel(
     sizes: list[int] | None = None,
     *,
@@ -108,6 +119,8 @@ def bench_kernel(
     """Time random-pair kernels with the linear and the reference builder."""
     if sizes is None:
         sizes = [1 << k for k in range(12, 18)]
+    _check_reps(reps)
+    _check_fitted("kernel sizes", sizes)
     params = KernelParams(lam=lam)
     report = BenchReport(
         name="kernel-builders",
@@ -162,6 +175,9 @@ def bench_predict(
         m_values = list(range(100, 1001, 100))
     if input_sizes is None:
         input_sizes = [1 << k for k in range(10, 15)]
+    _check_reps(reps)
+    _check_fitted("support counts", m_values)
+    _check_fitted("input sizes", input_sizes)
     report = BenchReport(
         name="prediction",
         config={

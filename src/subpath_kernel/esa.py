@@ -44,7 +44,6 @@ class TreeSuffixArray:
     sa: list[int]
     lcp: list[int]
     rsa: list[int]
-    suffix_len: list[int]
 
 
 def suffix(tree, v: int) -> list[int]:
@@ -70,12 +69,11 @@ def naive_lcp(tree, u: int, v: int) -> int:
     return k
 
 
-def _finish(sa, lcp: list[int], depth) -> TreeSuffixArray:
+def _finish(sa, lcp: list[int]) -> TreeSuffixArray:
     order = np.asarray(sa, np.int64)
     rsa = np.empty_like(order)
     rsa[order] = np.arange(order.size)
-    return TreeSuffixArray(sa=order.tolist(), lcp=lcp, rsa=rsa.tolist(),
-                           suffix_len=[d + 1 for d in depth])
+    return TreeSuffixArray(sa=order.tolist(), lcp=lcp, rsa=rsa.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +130,7 @@ def _reference_order(labels, parent) -> tuple[list[int], list[int]]:
 
 def build_esa_reference(tree) -> TreeSuffixArray:
     sa, lcp = _reference_order(list(tree.labels), list(tree.parent))
-    return _finish(sa, lcp, tree.depth)
+    return _finish(sa, lcp)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +146,7 @@ def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
     lab = np.asarray(tree.labels, np.int64)
     n = int(lab.size)
     if n == 0:
-        return TreeSuffixArray(sa=[], lcp=[], rsa=[], suffix_len=[])
+        return TreeSuffixArray(sa=[], lcp=[], rsa=[])
     par = np.asarray(tree.parent, np.int64)
     dep = np.asarray(tree.depth, np.int64)
     # Index n is the sentinel: its own ancestor, rank 0 at every level.
@@ -177,7 +175,7 @@ def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
         u = np.where(eq, ancs[k][u], u)
         v = np.where(eq, ancs[k][v], v)
     lcp = np.append(np.minimum(h, cap), -1)
-    return _finish(sa, lcp.tolist(), tree.depth)
+    return _finish(sa, lcp.tolist())
 
 
 def select_builder(name: str):

@@ -6,10 +6,11 @@ prefix of every node-to-root suffix), the product of its occurrence counts
 in the two trees, weighted by lam**len(p).  Equivalently it is the sum over
 all cross-tree suffix pairs of W[lcp], where W[k] = sum_{j<=k} lam**j.
 
-The fast path merges both trees into one forest under fresh terminal
-labels, builds a single suffix array, and accumulates interval products in
-one left-to-right sweep over the lcp array with a stack of
-(depth, count-in-tree-1, count-in-tree-2) frames — O(n) after the build.
+The fast path places both trees side by side in one forest, builds a
+single suffix array over every node-to-root suffix, and accumulates
+interval products in one left-to-right sweep over the lcp array with a
+stack of (depth, count-in-tree-1, count-in-tree-2) frames — O(n) after the
+build.
 
 ``subpath_kernel_oracle`` recounts everything with a hash map of explicit
 prefix strings; it is the slow, independent cross-check.
@@ -52,50 +53,32 @@ def weight_table(max_len: int, lam: float) -> list[float]:
 
 @dataclass(frozen=True)
 class MergedTree:
-    """Forest of input trees, each hung under its own terminal root.
+    """Forest of input trees placed side by side, each root at parent -1.
 
-    ``source[v]`` is the 1-based index of the originating tree, 0 for
-    terminal nodes.  ``terminals`` lists the terminal node ids in component
-    order.  Terminal labels are negative so they sort below every real
-    label and never collide with one.
+    ``source[v]`` is the 0-based index of the tree node v came from.  No
+    separator is needed: every suffix ends at its own root, end-of-suffix
+    sorts before every label, and identical suffixes tie-break by node id,
+    which is tree order.
     """
 
     labels: list[int]
     parent: list[int]
     depth: list[int]
     source: list[int]
-    terminals: list[int]
-    n_components: int
 
 
-def merge_forest(trees: list[Tree], terminal_labels: list[int] | None = None) -> MergedTree:
-    m = len(trees)
-    if terminal_labels is None:
-        terminal_labels = list(range(-m, 0))
-    if len(terminal_labels) != m:
-        raise ValueError("need one terminal label per tree")
-    if any(t >= 0 for t in terminal_labels):
-        raise ValueError("terminal labels must be negative")
-    if any(b <= a for a, b in zip(terminal_labels, terminal_labels[1:])):
-        raise ValueError("terminal labels must be strictly increasing")
+def merge_forest(trees: list[Tree]) -> MergedTree:
     labels: list[int] = []
     parent: list[int] = []
     depth: list[int] = []
     source: list[int] = []
-    terminals: list[int] = []
     for i, tree in enumerate(trees):
-        base = len(labels)
-        terminals.append(base)
-        labels.append(terminal_labels[i])
-        parent.append(-1)
-        depth.append(0)
-        source.append(0)
-        off = base + 1
+        off = len(labels)
         labels.extend(tree.labels)
-        parent.extend(base if p == -1 else p + off for p in tree.parent)
-        depth.extend(d + 1 for d in tree.depth)
-        source.extend([i + 1] * tree.n)
-    return MergedTree(labels, parent, depth, source, terminals, m)
+        parent.extend(p if p == -1 else p + off for p in tree.parent)
+        depth.extend(tree.depth)
+        source.extend([i] * tree.n)
+    return MergedTree(labels, parent, depth, source)
 
 
 def merge_trees(t1: Tree, t2: Tree) -> MergedTree:
@@ -103,21 +86,12 @@ def merge_trees(t1: Tree, t2: Tree) -> MergedTree:
 
 
 def merged_esa(merged: MergedTree, builder: str = "linear") -> _esa.TreeSuffixArray:
-    """Suffix array of the merged forest with terminal-only rows dropped.
+    """Suffix array of the merged forest by the named builder.
 
-    Terminal labels are the m smallest and each occurs once as a length-1
-    suffix, so those rows are exactly the first m ranks; dropping a prefix
-    of the suffix array leaves every remaining lcp entry intact.
+    A stage of its own so that the benchmark's traced run
+    (``perfbench/spans.py``) can time it by name.
     """
-    full = _esa.select_builder(builder)(merged)
-    m = merged.n_components
-    term = set(merged.terminals)
-    assert all(v in term for v in full.sa[:m])
-    rsa = [r - m for r in full.rsa]
-    for v in merged.terminals:
-        rsa[v] = -1
-    return _esa.TreeSuffixArray(sa=full.sa[m:], lcp=full.lcp[m:], rsa=rsa,
-                                suffix_len=full.suffix_len)
+    return _esa.select_builder(builder)(merged)
 
 
 def _sweep(sa, lcp, depth, source, w) -> float:
@@ -127,9 +101,8 @@ def _sweep(sa, lcp, depth, source, w) -> float:
     in the currently open interval of string depth h.  Closing an interval
     of depth h inside one of depth g contributes (W[h] - W[g]) * c1 * c2:
     each cross pair shares a prefix of length h, of which g was already
-    charged to the enclosing interval.  Suffix depths here include the
-    terminal label, but cross pairs never match through distinct terminals,
-    so charged depths stay within real labels.
+    charged to the enclosing interval.  Identical suffixes of both trees
+    tie at their full length h and share one frame.
     """
     n = len(sa)
     if n == 0:
@@ -137,7 +110,7 @@ def _sweep(sa, lcp, depth, source, w) -> float:
     # Gather each rank's suffix depth and tree up front, so the stack loop
     # reads its inputs in rank order instead of jumping through node ids.
     hs = [depth[v] + 1 for v in sa]
-    ones = [source[v] == 1 for v in sa]
+    ones = [source[v] == 0 for v in sa]
     bs = list(lcp[:n - 1])
     bs.append(0)
     total = 0.0

@@ -134,7 +134,7 @@ def build_master_index(sv: SupportSet, *, builder: str = "linear") -> MasterInde
     sa = np.asarray(arr.sa, np.int64)
     lcp = np.asarray(arr.lcp, np.int64)
     n = sa.size
-    slen = np.asarray(arr.suffix_len, np.int64)
+    slen = np.asarray(merged.depth, np.int64) + 1
     depth, lb, rb = _intervals(lcp, slen[sa])
     # Sorted by (lb, depth) the ids are a preorder: parents come first.
     order = np.lexsort((depth, lb))
@@ -153,21 +153,22 @@ def build_master_index(sv: SupportSet, *, builder: str = "linear") -> MasterInde
     # Non-root intervals: the parent's depth is the larger lcp just outside
     # the interval.  The string minus its first label is a prefix of the
     # suffix of the parent node of the interval's first suffix, so its
-    # rank finds the suffix link.  A string [label, terminal] links to a
-    # bare terminal, whose rank was dropped; that link is never followed
-    # while matching terminal-free input, so the root stands in.
+    # rank finds the suffix link.  Only a depth-1 interval can start with
+    # a root, which has no parent node; its link is the root interval.
     first = sa[lb[1:]]
     ext = np.concatenate(([-1], lcp))
     parent = np.append(-1, holding(np.maximum(np.maximum(ext[lb[1:]], ext[rb[1:]]), 0), lb[1:]))
-    up = np.asarray(arr.rsa, np.int64)[np.asarray(merged.parent, np.int64)[first]]
-    slink = np.append(0, np.where(up < 0, 0, holding(depth[1:] - 1, up)))
+    up = np.asarray(merged.parent, np.int64)[first]
+    at_root = up < 0
+    ranks = np.asarray(arr.rsa, np.int64)[np.where(at_root, 0, up)]
+    slink = np.append(0, np.where(at_root, 0, holding(depth[1:] - 1, ranks)))
 
     la = LevelAncestorIndex(merged.parent, merged.depth)
     blab = la.query_batch(first, depth[parent[1:]])
     blabels = np.asarray(merged.labels, np.int64)[blab].tolist()
 
     # alpha mass per interval: prefix sums over ranks by source tree.
-    alpha = np.asarray([0.0, *sv.alphas])[np.asarray(merged.source, np.int64)[sa]]
+    alpha = np.asarray(sv.alphas, np.float64)[np.asarray(merged.source, np.int64)[sa]]
     pref = np.cumsum(np.concatenate(([0.0], alpha)))
     iv_wv = (pref[rb] - pref[lb]).tolist()
     weights = weight_table(int(slen.max(initial=1)), sv.params.lam)

@@ -32,8 +32,7 @@ class LabelTable:
     """Interns label spellings as dense ids 0..sigma-1.
 
     Share a single table across every tree taking part in one computation so
-    that equal spellings map to equal ids.  Negative ids are reserved for the
-    terminal separators of merged forests and never appear here.
+    that equal spellings map to equal ids.
     """
 
     def __init__(self) -> None:

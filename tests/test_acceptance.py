@@ -123,8 +123,7 @@ def test_02_linear_esa_equals_reference(capsys):
         nonlocal mismatches, checked
         a = build_esa_linear(tree)
         b = build_esa_reference(tree)
-        if not (a.sa == b.sa and a.lcp == b.lcp and a.rsa == b.rsa
-                and a.suffix_len == b.suffix_len):
+        if not (a.sa == b.sa and a.lcp == b.lcp and a.rsa == b.rsa):
             mismatches += 1
         checked += 1
 
@@ -159,7 +158,7 @@ def test_03_lcp_array_answers_pairwise_lcp_queries(capsys):
             p, q = esa.rsa[u], esa.rsa[v]
             if p > q:
                 p, q = q, p
-            got = esa.suffix_len[u] if p == q else rmq.query(p, q - 1)
+            got = tree.depth[u] + 1 if p == q else rmq.query(p, q - 1)
             if got != naive_lcp(tree, u, v):
                 bad += 1
             queries += 1

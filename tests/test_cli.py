@@ -179,6 +179,31 @@ class TestBenchCommands:
         assert "predict_flatness_vs_m" in report["ratios"]
         assert "direct_vs_m" in report["slopes"] and "predict_vs_n" in report["slopes"]
 
+    @pytest.mark.parametrize("extra", [
+        ["--min-pow", "6", "--max-pow", "5"],
+        ["--min-pow", "6", "--max-pow", "6"],
+        ["--min-pow", "6", "--max-pow", "7", "--reps", "0"],
+    ], ids=["empty", "one-size", "zero-reps"])
+    def test_kernel_degenerate_input_exit_2(self, capsys, extra):
+        assert main(["bench-kernel", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("extra", [
+        ["--m-min", "15", "--m-max", "5"],
+        ["--m-min", "5", "--m-max", "5"],
+        ["--n-min-pow", "6", "--n-max-pow", "6"],
+        ["--reps", "0"],
+    ], ids=["empty-m", "one-m", "one-n", "zero-reps"])
+    def test_predict_degenerate_input_exit_2(self, capsys, extra):
+        # a repeated option takes its last value, so ``extra`` overrides
+        small = ["--m-min", "5", "--m-max", "10", "--m-step", "5", "--n-min-pow", "6",
+                 "--n-max-pow", "7", "--sv-n", "8", "--input-n", "30", "--m-fixed", "5",
+                 "--reps", "2"]
+        assert main(["bench-predict", *small, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_rerun_reports_same_sizes(self, capsys):
         args = ["bench-kernel", "--min-pow", "6", "--max-pow", "7", "--reps", "2"]
         assert main(args) == 0

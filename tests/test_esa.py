@@ -17,8 +17,8 @@ def assert_valid_esa(tree, arr):
     n = tree.n
     assert sorted(arr.sa) == list(range(n))
     assert [arr.rsa[arr.sa[i]] for i in range(n)] == list(range(n))
-    assert arr.suffix_len == [d + 1 for d in tree.depth]
     sufs = [suffix(tree, v) for v in range(n)]
+    assert [len(s) for s in sufs] == [d + 1 for d in tree.depth]
     for i in range(n - 1):
         u, v = arr.sa[i], arr.sa[i + 1]
         assert sufs[u] <= sufs[v]
@@ -37,7 +37,7 @@ class TestFrozenExamples:
             assert arr.sa == [0, 1]
             assert arr.lcp == [0, -1]
             assert arr.rsa == [0, 1]
-            assert arr.suffix_len == [1, 2]
+            assert [t.depth[v] + 1 for v in arr.sa] == [1, 2]
 
     def test_single_node(self):
         t = parse_tree("a")

@@ -13,11 +13,8 @@ from subpath_kernel.esa import suffix
 from subpath_kernel.kernel import (
     KernelParams,
     _prefix_counts,
-    _sweep,
     gram_matrix,
-    merge_forest,
     merge_trees,
-    merged_esa,
     subpath_kernel,
     subpath_kernel_oracle,
     weight_table,
@@ -80,28 +77,20 @@ class TestWeightTable:
 
 class TestMerge:
     def test_two_singletons(self):
-        m = merge_trees(parse_tree("a"), parse_tree("b"))
-        assert len(m.labels) == 4
-        assert m.parent == [-1, 0, -1, 2]
-        assert m.depth == [0, 1, 0, 1]
-        assert m.source == [0, 1, 0, 2]
-        assert m.terminals == [0, 2]
-        assert m.labels[0] == -2 and m.labels[2] == -1
+        table = LabelTable()
+        m = merge_trees(parse_tree("a", table), parse_tree("b", table))
+        assert m.labels == [0, 1]
+        assert m.parent == [-1, -1]
+        assert m.depth == [0, 0]
+        assert m.source == [0, 1]
 
     def test_component_sizes(self):
         t1, t2 = random_tree(9, 2, 0), random_tree(4, 2, 1)
         m = merge_trees(t1, t2)
-        assert len(m.labels) == t1.n + t2.n + 2
-        assert m.source.count(1) == t1.n and m.source.count(2) == t2.n
-
-    def test_terminal_validation(self):
-        t = parse_tree("a")
-        with pytest.raises(ValueError):
-            merge_forest([t, t], [-1])
-        with pytest.raises(ValueError):
-            merge_forest([t, t], [0, -1])
-        with pytest.raises(ValueError):
-            merge_forest([t, t], [-1, -2])
+        assert len(m.labels) == t1.n + t2.n
+        assert m.source == [0] * t1.n + [1] * t2.n
+        assert m.parent[t1.n:] == [-1] + [p + t1.n for p in t2.parent[1:]]
+        assert m.depth == t1.depth + t2.depth
 
 
 class TestFrozenValues:
@@ -198,19 +187,6 @@ class TestAlgebraicInvariants:
         for s in range(5):
             assert rel_close(base, subpath_kernel(shuffle_children(t1, s), t2, p), 1e-12)
 
-    def test_terminal_reencoding_invariance(self):
-        rng = random.Random(5)
-        for i in range(20):
-            t1 = random_tree(rng.randint(1, 40), 3, 17 * i)
-            t2 = random_tree(rng.randint(1, 40), 3, 17 * i + 2)
-            lam = 0.5
-            base = subpath_kernel(t1, t2, KernelParams(lam=lam))
-            merged = merge_forest([t1, t2], [-19, -4])
-            arr = merged_esa(merged)
-            w = weight_table(max(merged.depth) + 1, lam)
-            redone = _sweep(arr.sa, arr.lcp, merged.depth, merged.source, w)
-            assert rel_close(base, redone, 1e-12)
-
     def test_decay_polynomial_coefficients(self):
         # K as a polynomial in lam: coefficients are integer pair counts by
         # shared-prefix length; evaluate at several lam against the sweep
@@ -261,6 +237,17 @@ class TestGram:
             assert g[i][i] == pytest.approx(1.0)
             for j in range(5):
                 assert -1.0 - 1e-9 <= g[i][j] <= 1.0 + 1e-9
+
+    def test_duplicate_trees_against_oracle(self):
+        # identical trees tie on every suffix across the pair, diagonal
+        # entries on every suffix of the tree with itself
+        a, b = random_tree(12, 2, 400), random_tree(9, 2, 401)
+        trees = [a, b, a, parse_tree("a"), b, a, parse_tree("a")]
+        lam = 0.5
+        g = gram_matrix(trees, KernelParams(lam=lam))
+        for i, ti in enumerate(trees):
+            for j, tj in enumerate(trees):
+                assert rel_close(g[i][j], subpath_kernel_oracle(ti, tj, lam), 1e-12)
 
     def test_positive_semidefinite(self):
         trees = [random_tree(random.Random(100 + i).randint(1, 40), 4, 100 + i)

@@ -115,10 +115,22 @@ class TestIndexStructure:
         sv = SupportSet(trees=[parse_tree("a", table)], alphas=[1.0], bias=0.0,
                         params=KernelParams(lam=1.0))
         idx = build_master_index(sv)
-        # root plus the one suffix [a, terminal] as a depth-2 leaf interval
+        # root plus the one suffix [a] as a depth-1 leaf interval
         assert idx.n_intervals == 2
-        assert idx.iv_depth == [0, 2]
+        assert idx.iv_depth == [0, 1]
         assert idx.iv_wv[1] == 1.0
+
+    def test_duplicate_tree_adds_no_interval(self):
+        # a second copy of a tree ties with the first on every suffix, so
+        # the interval set stays that of the tree alone
+        for seed in range(10):
+            t = random_tree(random.Random(seed).randint(1, 40), 1 + seed % 3, 4000 + seed)
+            one = build_master_index(SupportSet(trees=[t], alphas=[1.0], bias=0.0,
+                                                params=KernelParams(lam=0.5)))
+            two = build_master_index(SupportSet(trees=[t, t], alphas=[1.0, -1.0], bias=0.0,
+                                                params=KernelParams(lam=0.5)))
+            assert two.n_intervals == one.n_intervals
+            check_interval_structure(two)
 
     def test_interval_count_bound(self):
         for seed in range(20):
@@ -150,7 +162,7 @@ class TestIndexStructure:
         idx = build_master_index(sv)
         for c in range(idx.n_intervals):
             direct = sum(
-                sv.alphas[idx.merged.source[idx.sa[r]] - 1]
+                sv.alphas[idx.merged.source[idx.sa[r]]]
                 for r in range(idx.iv_lb[c], idx.iv_rb[c])
             )
             assert rel_close(idx.iv_wv[c], direct, 1e-12)
@@ -193,11 +205,6 @@ class TestSuffixLinks:
             for c in range(1, idx.n_intervals):
                 s = interval_string(idx, c)
                 tgt = idx.iv_slink[c]
-                if len(s) >= 2 and s[1] < 0:
-                    # linked string would be a bare terminal, whose rank is
-                    # not indexed; mapped to root and unreachable in matching
-                    assert tgt == 0
-                    continue
                 assert idx.iv_depth[tgt] == idx.iv_depth[c] - 1
                 assert interval_string(idx, tgt) == s[1:]
                 checked += 1
@@ -309,6 +316,20 @@ class TestPredict:
         idx = build_master_index(sv)
         t = random_tree(30, 2, 66)
         assert predict(idx, t) == predict(idx, t, use_skips=False)
+
+    def test_cancelling_duplicate_trees_score_bias(self):
+        # alphas 1 and -1 are exact, so every interval's alpha mass is an
+        # exact 0 and the score must be exactly the bias
+        for seed in range(20):
+            rng = random.Random(8000 + seed)
+            sigma = rng.choice([1, 2, 3])
+            t = random_tree(rng.randint(1, 40), sigma, 8100 + seed)
+            sv = SupportSet(trees=[t, t], alphas=[1.0, -1.0], bias=0.375,
+                            params=KernelParams(lam=rng.choice([0.5, 0.7, 1.0])))
+            idx = build_master_index(sv)
+            for u in (t, random_tree(rng.randint(1, 40), sigma, 8200 + seed)):
+                assert predict(idx, u) == 0.375
+                assert predict(idx, u, use_skips=False) == 0.375
 
     def test_shaped_inputs(self):
         sv = SupportSet(trees=[path_tree(50), star_tree(40)], alphas=[1.0, -1.5],

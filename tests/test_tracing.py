@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` replaces library entry points by module attribute
 (``predict.LevelAncestorIndex(parent, depth)``, ``predict.merge_forest``,
 ``predict.merged_esa``, ``predict.matching_statistics``,
-``predict.parse_tree`` and the kernel/esa builders).  Renaming one of them
+``predict.parse_tree``, ``kernel.merge_trees``, ``kernel.merged_esa``,
+``kernel.subpath_kernel`` and the esa builder).  Renaming one of them
 breaks the traced benchmark run; this test makes that a unit-test failure.
 The module is loaded from its file without writing bytecode next to it.
 """
@@ -14,11 +15,12 @@ import sys
 from pathlib import Path
 
 from conftest import rel_close
-from subpath_kernel.kernel import KernelParams
+from subpath_kernel.kernel import KernelParams, subpath_kernel_oracle
 from subpath_kernel.predict import SupportSet, predict_direct
 from subpath_kernel.trees import LabelTable
 
-# The package re-exports a function named ``predict``; fetch the module.
+# The package re-exports a function named ``predict``; fetch the modules.
+kernel_module = importlib.import_module("subpath_kernel.kernel")
 predict_module = importlib.import_module("subpath_kernel.predict")
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -53,3 +55,22 @@ def test_traced_index_build_and_score(monkeypatch):
     metrics = tracer.layer_metrics()
     assert metrics["predict.match_ops"] > 0 and metrics["level_ancestor.queries"] > 0
     assert rel_close(score, predict_direct(sv, t), 1e-12)
+
+
+def test_traced_pair_kernel_and_gram(monkeypatch):
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    table = LabelTable()
+    corpus = [predict_module.parse_tree(s, table) for s in ("a(b,c(a))", "c(a,b)", "a(b)")]
+    params = KernelParams(lam=0.5)
+    with spans.installed(tracer):
+        with tracer.phase("round0"):
+            pair = kernel_module.subpath_kernel(corpus[0], corpus[1], params)
+            gram = kernel_module.gram_matrix(corpus, params, normalize=True, jobs=1)
+    assert spans.wrapped_targets() == []
+    names = {rec[0] for rec in tracer.spans}
+    assert {"kernel.merge", "kernel.merged_esa", "kernel.subpath_kernel", "esa.build"} <= names
+    metrics = tracer.layer_metrics()
+    assert metrics["kernel.calls"] == 1 + 6 and metrics["esa.calls"] == 1 + 6
+    assert rel_close(pair, subpath_kernel_oracle(corpus[0], corpus[1], 0.5), 1e-12)
+    assert all(rel_close(gram[i][i], 1.0, 1e-12) for i in range(3))
