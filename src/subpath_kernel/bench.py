@@ -168,8 +168,8 @@ def bench_predict(
     Series: ``predict_vs_m`` and ``direct_vs_m`` at a fixed input tree, and
     ``predict_vs_n`` at fixed m.  Derived figures: max/min ratio of predict
     across m (flatness), slope of direct against m, slope of predict
-    against input size.  The direct path uses the reference builder: faster
-    at these per-pair sizes, and the m-scaling is builder-independent.
+    against input size.  The direct path uses the default builder, the
+    faster one at these per-pair sizes too.
     """
     if m_values is None:
         m_values = list(range(100, 1001, 100))
@@ -204,7 +204,7 @@ def bench_predict(
             params=biggest.params,
         )
         indexed.append(partial(predict, build_master_index(sv), fixed_input))
-        direct.append(partial(predict_direct, sv, fixed_input, builder="reference"))
+        direct.append(partial(predict_direct, sv, fixed_input))
     sv = SupportSet(
         trees=biggest.trees[:m_fixed],
         alphas=biggest.alphas[:m_fixed],

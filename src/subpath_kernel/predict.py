@@ -16,7 +16,10 @@ tree is annotated once:
   match length is at least the child's minus one.  Processing nodes in
   reverse id order (children before parents) turns scoring into a single
   sweep whose work is governed by the matching-statistics bound rather than
-  by sum of suffix lengths.
+  by sum of suffix lengths.  The sweep keeps the current node's root path
+  in an array, so each input label it reads is one list lookup; only the
+  master side (labels inside a long interval edge) asks the master's
+  level-ancestor index.
 
 ``predict_direct`` recomputes the same score as an explicit sum of pairwise
 kernels and serves as the independent cross-check.
@@ -213,11 +216,19 @@ def matching_statistics(idx: MasterIndex, t: Tree, *, use_skips: bool = True) ->
     fresh comparisons.  Skipping down from the linked ancestor, rather than
     climbing up from the link of the (possibly much deeper) locus itself,
     is what keeps the walk cost telescoping along best-child chains.
+
+    The input labels of node v are read off its root path: ``path[d]`` is
+    v's ancestor at depth d and ``plab[d]`` its label, so the label at
+    distance q from v is ``plab[depth[v] - q]``.  In descending preorder a
+    subtree is processed as one contiguous run ending at its root, so when
+    v is reached only the entries from depth[v] up to the first one that
+    already holds v's ancestor are stale; each node is written once, O(n)
+    in all.
     """
     n = t.n
     lengths = [0] * n
     locus = [0] * n
-    stats = MatchStats(lengths=lengths, locus=locus)
+    comparisons = descents = slinks = skips = 0
     iv_depth = idx.iv_depth
     iv_parent = idx.iv_parent
     iv_children = idx.iv_children
@@ -226,34 +237,44 @@ def matching_statistics(idx: MasterIndex, t: Tree, *, use_skips: bool = True) ->
     sa = idx.sa
     mlab = idx.merged.labels
     la_m = idx.la
-    la_t = LevelAncestorIndex(t.parent, t.depth)
     tlab = t.labels
+    parent_t = t.parent
     children_t = t.children
     depth_t = t.depth
+    # The root is every node's depth-0 ancestor, so no walk passes it.
+    h = t.height
+    path = [0] + [-1] * (h - 1)
+    plab = [tlab[0]] * h
 
     for v in range(n - 1, -1, -1):
+        dv = depth_t[v]
+        u, d = v, dv
+        while path[d] != u:
+            path[d] = u
+            plab[d] = tlab[u]
+            u = parent_t[u]
+            d -= 1
         q = 0
         x = 0
         if use_skips and children_t[v]:
             best = max(children_t[v], key=lengths.__getitem__)
             q0 = lengths[best] - 1
             if q0 > 0:
-                stats.slinks += 1
+                slinks += 1
                 x = iv_slink[iv_parent[locus[best]]]
                 while iv_depth[x] < q0:
-                    stats.skips += 1
-                    x = iv_children[x][tlab[la_t.query(v, iv_depth[x])]]
+                    skips += 1
+                    x = iv_children[x][plab[dv - iv_depth[x]]]
                 q = q0
-        maxq = depth_t[v] + 1
-        while q < maxq:
-            c = tlab[la_t.query(v, q)]
+        while q <= dv:
+            c = plab[dv - q]
             if q < iv_depth[x]:
-                stats.comparisons += 1
+                comparisons += 1
                 if mlab[la_m.query(sa[iv_lb[x]], q)] != c:
                     break
                 q += 1
             else:
-                stats.descents += 1
+                descents += 1
                 nxt = iv_children[x].get(c)
                 if nxt is None:
                     break
@@ -261,7 +282,8 @@ def matching_statistics(idx: MasterIndex, t: Tree, *, use_skips: bool = True) ->
                 q += 1
         lengths[v] = q
         locus[v] = x
-    return stats
+    return MatchStats(lengths=lengths, locus=locus, comparisons=comparisons,
+                      descents=descents, slinks=slinks, skips=skips)
 
 
 def predict(idx: MasterIndex, t: Tree, *, use_skips: bool = True) -> float:
@@ -271,9 +293,8 @@ def predict(idx: MasterIndex, t: Tree, *, use_skips: bool = True) -> float:
     val = idx.iv_val
     wv = idx.iv_wv
     total = idx.bias
-    for v in range(t.n):
-        x = stats.locus[v]
-        total += val[x] + wv[x] * w[stats.lengths[v]]
+    for x, q in zip(stats.locus, stats.lengths):
+        total += val[x] + wv[x] * w[q]
     return total
 
 

@@ -15,18 +15,23 @@ def rel_close(a: float, b: float, tol: float) -> bool:
 
 
 def naive_match_lengths(sv_trees: list[Tree], t: Tree) -> list[int]:
-    """Longest prefix of each suffix of t found among all SV suffixes."""
-    master = [suffix(tree, v) for tree in sv_trees for v in range(tree.n)]
+    """Longest prefix of each suffix of t found among all SV suffixes.
+
+    Suffixes are spelled one character per label, so each SV suffix is
+    tested with one ``startswith`` against the longest prefix found so far
+    and extended label by label only when it beats it.
+    """
+    def spell(tree, v):
+        return "".join(map(chr, suffix(tree, v)))
+
+    master = [spell(tree, v) for tree in sv_trees for v in range(tree.n)]
     out = []
     for v in range(t.n):
-        s = suffix(t, v)
+        s = spell(t, v)
         best = 0
         for ms in master:
-            k = 0
-            while k < len(s) and k < len(ms) and s[k] == ms[k]:
-                k += 1
-            if k > best:
-                best = k
+            while best < len(s) and ms.startswith(s[:best + 1]):
+                best += 1
         out.append(best)
     return out
 

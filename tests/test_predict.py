@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import naive_match_lengths, rel_close
+from conftest import naive_match_lengths, rel_close, shuffle_children
 from subpath_kernel.kernel import KernelParams, merged_esa, subpath_kernel
 from subpath_kernel.predict import (
     MasterIndex,
@@ -34,6 +34,25 @@ def make_sv(m, max_n, sigma, seed, lam=0.5, signed=False, bias=0.0):
     trees = [random_tree(rng.randint(1, max_n), sigma, seed * 1000 + j) for j in range(m)]
     alphas = [rng.uniform(-2, 2) if signed else 1.0 for _ in range(m)]
     return SupportSet(trees=trees, alphas=alphas, bias=bias, params=KernelParams(lam=lam))
+
+
+def caterpillar(spine: int, sigma: int, seed: int) -> Tree:
+    """A spine of ``spine`` nodes, each carrying 0-2 legs of 1-3 nodes.
+
+    Children are shuffled, so in descending id order the matching sweep
+    jumps between legs hanging at every depth of the spine.
+    """
+    rng = random.Random(seed)
+    parent = [-1]
+    top = 0
+    for _ in range(spine - 1):
+        for _ in range(rng.randint(0, 2)):
+            leg = rng.randint(1, 3)
+            parent += [top] + list(range(len(parent), len(parent) + leg - 1))
+        parent.append(top)
+        top = len(parent) - 1
+    labels = [rng.randrange(sigma) for _ in parent]
+    return shuffle_children(Tree.from_parents(labels, parent), seed)
 
 
 def interval_string(idx: MasterIndex, c: int) -> list[int]:
@@ -248,6 +267,38 @@ class TestMatchingStatistics:
             slow = matching_statistics(idx, t, use_skips=False)
             assert fast.lengths == slow.lengths
             assert fast.locus == slow.locus
+
+    def test_root_path_inputs_against_naive_oracle(self):
+        # inputs deeper than the support, and inputs whose descending ids
+        # jump between deep branches
+        alternating = [k % 2 for k in range(2000)]
+        cases = [([path_tree(500, alternating[:500])], path_tree(2000, alternating))]
+        for seed in range(3):
+            rng = random.Random(seed)
+            support = [caterpillar(rng.randint(10, 60), 2, 10 * seed + k) for k in range(3)]
+            cases.append((support, caterpillar(rng.randint(200, 330), 2, 10 * seed + 9)))
+        cases.append(([random_tree(300, 1, 31), random_tree(100, 1, 32)], random_tree(1000, 1, 33)))
+        for support, t in cases:
+            sv = SupportSet(trees=support, alphas=[1.0] * len(support), bias=0.0,
+                            params=KernelParams(lam=0.5))
+            idx = build_master_index(sv)
+            fast = matching_statistics(idx, t)
+            slow = matching_statistics(idx, t, use_skips=False)
+            assert fast.lengths == naive_match_lengths(support, t)
+            assert fast.lengths == slow.lengths
+            assert fast.locus == slow.locus
+
+    @pytest.mark.parametrize("sigma, make_input, counters", [
+        (2, lambda: random_tree(300, 2, 1301), (57, 973, 157, 180)),
+        (5, lambda: caterpillar(200, 5, 1302), (232, 1258, 367, 396)),
+        (1, lambda: random_tree(400, 1, 1303), (0, 1398, 191, 191)),
+    ], ids=["sigma2-random", "sigma5-caterpillar", "sigma1-random"])
+    def test_operation_counters_pinned(self, sigma, make_input, counters):
+        # (comparisons, descents, slinks, skips) of fixed sweeps: how the
+        # sweep reads labels must not change the steps it takes
+        idx = build_master_index(make_sv(12, 60, sigma, 1200 + sigma, signed=True))
+        st = matching_statistics(idx, make_input())
+        assert (st.comparisons, st.descents, st.slinks, st.skips) == counters
 
     def test_child_lower_bound(self):
         for i in range(40):

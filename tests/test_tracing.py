@@ -40,12 +40,15 @@ def test_traced_index_build_and_score(monkeypatch):
     with spans.installed(tracer):
         assert len(spans.wrapped_targets()) == len(spans.TARGETS)
         with tracer.phase("setup"):
-            trees = [predict_module.parse_tree(s, table) for s in ("a(b,c(a))", "c(a,b)")]
-            sv = SupportSet(trees=trees, alphas=[1.0, -0.5], bias=0.25,
+            trees = [predict_module.parse_tree(s, table) for s in ("a(b,c(a))", "c(a,b)", "a(b(c))")]
+            sv = SupportSet(trees=trees, alphas=[1.0, -0.5, 0.75], bias=0.25,
                             params=KernelParams(lam=0.5))
             idx = predict_module.build_master_index(sv)
         with tracer.phase("round0"):
-            t = predict_module.parse_tree("a(c(a),b)", table)
+            # The input's leaf c under b reads c, b, a; in the master c, b
+            # continues only as the leaf c, b, a, so the a is compared inside
+            # an interval edge: a master-side level-ancestor query.
+            t = predict_module.parse_tree("a(c(a),b(c))", table)
             score = predict_module.predict(idx, t)
     assert spans.wrapped_targets() == []
     names = {rec[0] for rec in tracer.spans}
