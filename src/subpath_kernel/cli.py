@@ -74,14 +74,16 @@ def cmd_esa_dump(args) -> int:
     blocks = []
     for tree in trees:
         arr = build(tree)
+        names = [table.name(lab) for lab in tree.labels.tolist()]
+        parent = tree.parent.tolist()
         lines = []
-        for i, v in enumerate(arr.sa):
+        for i, (v, h) in enumerate(zip(arr.sa.tolist(), arr.lcp.tolist())):
             labels = []
             u = v
             while u != -1:
-                labels.append(table.name(tree.labels[u]))
-                u = tree.parent[u]
-            lines.append(f"{i}\t{v}\t{arr.lcp[i]}\t{'/'.join(labels)}")
+                labels.append(names[u])
+                u = parent[u]
+            lines.append(f"{i}\t{v}\t{h}\t{'/'.join(labels)}")
         blocks.append("\n".join(lines))
     print("\n\n".join(blocks))
     return 0

@@ -27,7 +27,9 @@ Two interchangeable builders produce byte-identical output:
 
 ``select_builder`` maps the ``builder=`` names to these functions.  Both
 builders accept any object with ``labels``, ``parent`` and ``depth``
-sequences, including multi-root forests (parent -1 marks each root).
+int64 arrays (a ``Tree`` or a ``MergedTree``), including multi-root
+forests (parent -1 marks each root), and return a ``TreeSuffixArray`` of
+int64 arrays.
 """
 
 from __future__ import annotations
@@ -37,13 +39,22 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeSuffixArray:
-    """sa: rank -> node; rsa: node -> rank; lcp as documented above."""
+    """sa: rank -> node; rsa: node -> rank; lcp as documented above.
 
-    sa: list[int]
-    lcp: list[int]
-    rsa: list[int]
+    All three are int64 arrays of length n; ``==`` compares them.
+    """
+
+    sa: np.ndarray
+    lcp: np.ndarray
+    rsa: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TreeSuffixArray):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in
+                   ((self.sa, other.sa), (self.lcp, other.lcp), (self.rsa, other.rsa)))
 
 
 def suffix(tree, v: int) -> list[int]:
@@ -69,11 +80,11 @@ def naive_lcp(tree, u: int, v: int) -> int:
     return k
 
 
-def _finish(sa, lcp: list[int]) -> TreeSuffixArray:
-    order = np.asarray(sa, np.int64)
-    rsa = np.empty_like(order)
-    rsa[order] = np.arange(order.size)
-    return TreeSuffixArray(sa=order.tolist(), lcp=lcp, rsa=rsa.tolist())
+def _finish(sa, lcp) -> TreeSuffixArray:
+    sa = np.asarray(sa, np.int64)
+    rsa = np.empty_like(sa)
+    rsa[sa] = np.arange(sa.size)
+    return TreeSuffixArray(sa=sa, lcp=np.asarray(lcp, np.int64), rsa=rsa)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +140,7 @@ def _reference_order(labels, parent) -> tuple[list[int], list[int]]:
 
 
 def build_esa_reference(tree) -> TreeSuffixArray:
-    sa, lcp = _reference_order(list(tree.labels), list(tree.parent))
+    sa, lcp = _reference_order(tree.labels.tolist(), tree.parent.tolist())
     return _finish(sa, lcp)
 
 
@@ -143,12 +154,12 @@ def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
     Pass ``stats`` to receive ``{"recursion_depth": rounds}``: the number of
     doubling rounds, at most ceil(log2(height + 1)).
     """
-    lab = np.asarray(tree.labels, np.int64)
+    lab = tree.labels
     n = int(lab.size)
     if n == 0:
-        return TreeSuffixArray(sa=[], lcp=[], rsa=[])
-    par = np.asarray(tree.parent, np.int64)
-    dep = np.asarray(tree.depth, np.int64)
+        return _finish([], [])
+    par = tree.parent
+    dep = tree.depth
     # Index n is the sentinel: its own ancestor, rank 0 at every level.
     anc = np.append(np.where(par < 0, n, par), n)
     rank = np.append(np.unique(lab, return_inverse=True)[1] + 1, 0)
@@ -165,7 +176,9 @@ def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
     if stats is not None:
         stats["recursion_depth"] = len(ranks) - 1
 
-    sa = np.argsort(rank[:n], kind="stable")
+    # The final ranks tie only for identical suffixes, which order by id:
+    # sorting the distinct keys rank * n + id gives that order directly.
+    sa = np.sort(rank[:n] * n + np.arange(n)) % n
     u, v = sa[:-1], sa[1:]
     cap = np.minimum(dep[u], dep[v]) + 1
     h = np.zeros(n - 1, np.int64)
@@ -175,7 +188,7 @@ def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
         u = np.where(eq, ancs[k][u], u)
         v = np.where(eq, ancs[k][v], v)
     lcp = np.append(np.minimum(h, cap), -1)
-    return _finish(sa, lcp.tolist())
+    return _finish(sa, lcp)
 
 
 def select_builder(name: str):

@@ -21,8 +21,9 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-import math
 import os
+
+import numpy as np
 
 from . import esa as _esa
 from .trees import Tree
@@ -55,30 +56,30 @@ def weight_table(max_len: int, lam: float) -> list[float]:
 class MergedTree:
     """Forest of input trees placed side by side, each root at parent -1.
 
-    ``source[v]`` is the 0-based index of the tree node v came from.  No
-    separator is needed: every suffix ends at its own root, end-of-suffix
-    sorts before every label, and identical suffixes tie-break by node id,
-    which is tree order.
+    Every field is an int64 array over the forest's nodes; ``source[v]``
+    is the 0-based index of the tree node v came from.  No separator is
+    needed: every suffix ends at its own root, end-of-suffix sorts before
+    every label, and identical suffixes tie-break by node id, which is
+    tree order.
     """
 
-    labels: list[int]
-    parent: list[int]
-    depth: list[int]
-    source: list[int]
+    labels: np.ndarray
+    parent: np.ndarray
+    depth: np.ndarray
+    source: np.ndarray
 
 
 def merge_forest(trees: list[Tree]) -> MergedTree:
-    labels: list[int] = []
-    parent: list[int] = []
-    depth: list[int] = []
-    source: list[int] = []
-    for i, tree in enumerate(trees):
-        off = len(labels)
-        labels.extend(tree.labels)
-        parent.extend(p if p == -1 else p + off for p in tree.parent)
-        depth.extend(tree.depth)
-        source.extend([i] * tree.n)
-    return MergedTree(labels, parent, depth, source)
+    sizes = np.array([tree.n for tree in trees], np.int64)
+    empty = [np.empty(0, np.int64)]
+    parent = np.concatenate(empty + [tree.parent for tree in trees])
+    offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return MergedTree(
+        labels=np.concatenate(empty + [tree.labels for tree in trees]),
+        parent=np.where(parent < 0, -1, parent + offsets),
+        depth=np.concatenate(empty + [tree.depth for tree in trees]),
+        source=np.repeat(np.arange(len(trees)), sizes),
+    )
 
 
 def merge_trees(t1: Tree, t2: Tree) -> MergedTree:
@@ -104,15 +105,14 @@ def _sweep(sa, lcp, depth, source, w) -> float:
     charged to the enclosing interval.  Identical suffixes of both trees
     tie at their full length h and share one frame.
     """
-    n = len(sa)
-    if n == 0:
+    if sa.size == 0:
         return 0.0
     # Gather each rank's suffix depth and tree up front, so the stack loop
     # reads its inputs in rank order instead of jumping through node ids.
-    hs = [depth[v] + 1 for v in sa]
-    ones = [source[v] == 0 for v in sa]
-    bs = list(lcp[:n - 1])
-    bs.append(0)
+    hs = (depth[sa] + 1).tolist()
+    ones = (source[sa] == 0).tolist()
+    bs = lcp.tolist()
+    bs[-1] = 0
     total = 0.0
     stack = [[-1, 0, 0]]
     top = stack[0]
@@ -145,7 +145,7 @@ def subpath_kernel(t1: Tree, t2: Tree, params: KernelParams, *, builder: str = "
     """K(t1, t2) via the merged suffix array, O(|t1| + |t2|) post-build."""
     merged = merge_trees(t1, t2)
     arr = merged_esa(merged, builder=builder)
-    maxh = max(merged.depth, default=0) + 1
+    maxh = int(merged.depth.max(initial=0)) + 1
     w = weight_table(maxh, params.lam)
     return _sweep(arr.sa, arr.lcp, merged.depth, merged.source, w)
 
@@ -154,9 +154,8 @@ def _prefix_counts(tree: Tree) -> Counter:
     """Multiset of node-to-root label strings' prefixes, encoded as str."""
     strs: list[str] = [""] * tree.n
     counts: Counter = Counter()
-    for v in range(tree.n):
-        p = tree.parent[v]
-        s = chr(tree.labels[v] + 1) + (strs[p] if p != -1 else "")
+    for v, (lab, p) in enumerate(zip(tree.labels.tolist(), tree.parent.tolist())):
+        s = chr(lab + 1) + (strs[p] if p != -1 else "")
         strs[v] = s
         for k in range(1, len(s) + 1):
             counts[s[:k]] += 1
@@ -222,9 +221,8 @@ def gram_matrix(
             value = subpath_kernel(trees[i], trees[j], params)
             gram[i][j] = gram[j][i] = value
     if normalize:
-        diag = [gram[i][i] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                d = math.sqrt(diag[i] * diag[j])
-                gram[i][j] = gram[i][j] / d if d > 0 else 0.0
+        g = np.array(gram, np.float64).reshape(n, n)
+        diag = g.diagonal()
+        d = np.sqrt(np.outer(diag, diag))
+        gram = np.divide(g, d, out=np.zeros_like(g), where=d > 0).tolist()
     return gram

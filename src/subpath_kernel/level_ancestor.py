@@ -15,7 +15,7 @@ class LevelAncestorIndex:
         par = np.asarray(parent, np.int64)
         n = int(par.size)
         self._n = n
-        self._depth = [int(x) for x in depth]
+        self._depth = np.asarray(depth, np.int64).tolist()
         row = np.append(np.where(par < 0, n, par), np.int64(n))
         rows = [row]
         maxd = max(self._depth) if n else 0

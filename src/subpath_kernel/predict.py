@@ -35,7 +35,7 @@ import numpy as np
 from .kernel import KernelParams, MergedTree, merge_forest, merged_esa, subpath_kernel, weight_table
 from .level_ancestor import LevelAncestorIndex
 from .rmq import RmqIndex
-from .trees import LabelTable, Tree, TreeParseError, parse_tree, serialize_tree
+from .trees import LabelTable, Tree, TreeParseError, _parse_texts, parse_tree, serialize_tree
 
 
 @dataclass(frozen=True)
@@ -134,10 +134,10 @@ def _intervals(lcp, hs):
 def build_master_index(sv: SupportSet, *, builder: str = "linear") -> MasterIndex:
     merged = merge_forest(sv.trees)
     arr = merged_esa(merged, builder=builder)
-    sa = np.asarray(arr.sa, np.int64)
-    lcp = np.asarray(arr.lcp, np.int64)
+    sa = arr.sa
+    lcp = arr.lcp
     n = sa.size
-    slen = np.asarray(merged.depth, np.int64) + 1
+    slen = merged.depth + 1
     depth, lb, rb = _intervals(lcp, slen[sa])
     # Sorted by (lb, depth) the ids are a preorder: parents come first.
     order = np.lexsort((depth, lb))
@@ -161,24 +161,30 @@ def build_master_index(sv: SupportSet, *, builder: str = "linear") -> MasterInde
     first = sa[lb[1:]]
     ext = np.concatenate(([-1], lcp))
     parent = np.append(-1, holding(np.maximum(np.maximum(ext[lb[1:]], ext[rb[1:]]), 0), lb[1:]))
-    up = np.asarray(merged.parent, np.int64)[first]
+    up = merged.parent[first]
     at_root = up < 0
-    ranks = np.asarray(arr.rsa, np.int64)[np.where(at_root, 0, up)]
+    ranks = arr.rsa[np.where(at_root, 0, up)]
     slink = np.append(0, np.where(at_root, 0, holding(depth[1:] - 1, ranks)))
 
     la = LevelAncestorIndex(merged.parent, merged.depth)
     blab = la.query_batch(first, depth[parent[1:]])
-    blabels = np.asarray(merged.labels, np.int64)[blab].tolist()
+    blabels = merged.labels[blab].tolist()
 
     # alpha mass per interval: prefix sums over ranks by source tree.
-    alpha = np.asarray(sv.alphas, np.float64)[np.asarray(merged.source, np.int64)[sa]]
+    alpha = np.asarray(sv.alphas, np.float64)[merged.source[sa]]
     pref = np.cumsum(np.concatenate(([0.0], alpha)))
     iv_wv = (pref[rb] - pref[lb]).tolist()
     weights = weight_table(int(slen.max(initial=1)), sv.params.lam)
 
     iv_depth = depth.tolist()
     iv_parent = parent.tolist()
-    iv_children: list[dict[int, int]] = [{} for _ in range(m)]
+    # Only intervals with children get a dict of their own.  The leaves all
+    # share ``no_children``, which is only ever read: every write below goes
+    # to a parent interval's dict.
+    has_children = np.zeros(m, bool)
+    has_children[parent[1:]] = True
+    no_children: dict[int, int] = {}
+    iv_children = [{} if k else no_children for k in has_children.tolist()]
     iv_val = [0.0] * m
     for c in range(1, m):
         p = iv_parent[c]
@@ -190,7 +196,7 @@ def build_master_index(sv: SupportSet, *, builder: str = "linear") -> MasterInde
         bias=sv.bias,
         weights=weights,
         merged=merged,
-        sa=arr.sa,
+        sa=sa.tolist(),
         iv_depth=iv_depth,
         iv_lb=lb.tolist(),
         iv_rb=rb.tolist(),
@@ -228,6 +234,11 @@ def matching_statistics(idx: MasterIndex, t: Tree, *, use_skips: bool = True) ->
     n = t.n
     lengths = [0] * n
     locus = [0] * n
+    # best[v]: v's child with the longest match so far, and its length.
+    # Children finish in descending id order, so taking a child on ties
+    # leaves the lowest id among the longest.
+    best = [-1] * n
+    best_len = [-1] * n
     comparisons = descents = slinks = skips = 0
     iv_depth = idx.iv_depth
     iv_parent = idx.iv_parent
@@ -237,10 +248,9 @@ def matching_statistics(idx: MasterIndex, t: Tree, *, use_skips: bool = True) ->
     sa = idx.sa
     mlab = idx.merged.labels
     la_m = idx.la
-    tlab = t.labels
-    parent_t = t.parent
-    children_t = t.children
-    depth_t = t.depth
+    tlab = t.labels.tolist()
+    parent_t = t.parent.tolist()
+    depth_t = t.depth.tolist()
     # The root is every node's depth-0 ancestor, so no walk passes it.
     h = t.height
     path = [0] + [-1] * (h - 1)
@@ -256,12 +266,11 @@ def matching_statistics(idx: MasterIndex, t: Tree, *, use_skips: bool = True) ->
             d -= 1
         q = 0
         x = 0
-        if use_skips and children_t[v]:
-            best = max(children_t[v], key=lengths.__getitem__)
-            q0 = lengths[best] - 1
+        if use_skips and best[v] >= 0:
+            q0 = best_len[v] - 1
             if q0 > 0:
                 slinks += 1
-                x = iv_slink[iv_parent[locus[best]]]
+                x = iv_slink[iv_parent[locus[best[v]]]]
                 while iv_depth[x] < q0:
                     skips += 1
                     x = iv_children[x][plab[dv - iv_depth[x]]]
@@ -282,6 +291,10 @@ def matching_statistics(idx: MasterIndex, t: Tree, *, use_skips: bool = True) ->
                 q += 1
         lengths[v] = q
         locus[v] = x
+        p = parent_t[v]
+        if p >= 0 and q >= best_len[p]:
+            best[p] = v
+            best_len[p] = q
     return MatchStats(lengths=lengths, locus=locus, comparisons=comparisons,
                       descents=descents, slinks=slinks, skips=skips)
 
@@ -326,7 +339,13 @@ def _model_float(lineno: int, text: str, what: str) -> float:
 
 
 def load_model(path: str, table: LabelTable | None = None) -> SupportSet:
-    """Read a ``save_model`` file; errors name the 1-based file line."""
+    """Read a ``save_model`` file; errors name the 1-based file line.
+
+    The tree column is parsed in one pass over all rows, with one label
+    table for all of them (a fresh one when ``table`` is None).
+    """
+    if table is None:
+        table = LabelTable()
     with open(path, "r", encoding="utf-8") as fh:
         rows = [(k, ln.strip()) for k, ln in enumerate(fh, start=1)]
     rows = [(k, ln) for k, ln in rows if ln and not ln.startswith("#")]
@@ -345,15 +364,24 @@ def load_model(path: str, table: LabelTable | None = None) -> SupportSet:
         k, ln = rest[0]
         bias = _model_float(k, ln.split(None, 1)[1], "bias")
         rest = rest[1:]
-    trees: list[Tree] = []
-    alphas: list[float] = []
-    for k, ln in rest:
-        parts = ln.split("\t", 1)
-        if len(parts) != 2:
-            raise ValueError(f"model line {k}: expected '<alpha>\\t<tree>'")
-        alphas.append(_model_float(k, parts[0], "alpha"))
+    cols = [ln.split("\t", 1) for _, ln in rest]
+    trees = None
+    if all(len(parts) == 2 for parts in cols):
         try:
-            trees.append(parse_tree(parts[1], table))
-        except TreeParseError as exc:
-            raise exc.located(f"model line {k}") from None
+            alphas = [_model_float(k, parts[0], "alpha") for (k, _), parts in zip(rest, cols)]
+        except ValueError:
+            pass
+        else:
+            trees = _parse_texts([parts[1] for parts in cols], table)
+    if trees is None:
+        # Some row is bad: read row by row, so the first bad line is named.
+        trees, alphas = [], []
+        for (k, _), parts in zip(rest, cols):
+            if len(parts) != 2:
+                raise ValueError(f"model line {k}: expected '<alpha>\\t<tree>'")
+            alphas.append(_model_float(k, parts[0], "alpha"))
+            try:
+                trees.append(parse_tree(parts[1], table))
+            except TreeParseError as exc:
+                raise exc.located(f"model line {k}") from None
     return SupportSet(trees=trees, alphas=alphas, bias=bias, params=params)

@@ -2,15 +2,19 @@
 
 Node ids are always 0..n-1 in preorder (root = 0, a parent precedes each of
 its descendants, every subtree occupies a contiguous id range).  The id order
-is load bearing: suffix-array tie-breaking relies on it, so every
-constructor in this module validates it.
+is load bearing: suffix-array tie-breaking relies on it, so
+``Tree.from_parents`` validates it and the parser produces it by
+construction.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 _RESERVED = "(),"
 
@@ -58,24 +62,41 @@ class LabelTable:
         return self._names[label]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree:
     """Rooted labeled tree with preorder node ids.
 
-    ``parent[root] == -1``; ``children`` lists are in ascending id order,
-    which is also the order the serializer emits them in.  Instances are
-    treated as immutable after construction.
+    ``labels``, ``parent`` and ``depth`` are read-only int64 arrays of
+    length n, with ``parent[root] == -1``.  ``children`` is derived on
+    first use (lists in ascending id order, which is also the order the
+    serializer emits them in) and cached; the hot paths never need it.
+    Instances are immutable; ``==`` compares the arrays.
     """
 
-    labels: list[int]
-    parent: list[int]
-    children: list[list[int]]
-    depth: list[int]
+    labels: np.ndarray
+    parent: np.ndarray
+    depth: np.ndarray
     root: int = 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return self.root == other.root and all(
+            np.array_equal(a, b)
+            for a, b in ((self.labels, other.labels), (self.parent, other.parent), (self.depth, other.depth))
+        )
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return int(self.labels.size)
+
+    @cached_property
+    def children(self) -> list[list[int]]:
+        children: list[list[int]] = [[] for _ in range(self.n)]
+        for v, p in enumerate(self.parent.tolist()):
+            if p >= 0:
+                children[p].append(v)
+        return children
 
     @property
     def leaf_count(self) -> int:
@@ -84,28 +105,36 @@ class Tree:
     @property
     def height(self) -> int:
         """Number of nodes on the longest root-to-leaf path."""
-        return max(self.depth) + 1
+        return int(self.depth.max()) + 1
 
     @staticmethod
     def from_parents(labels: Sequence[int], parent: Sequence[int]) -> "Tree":
         """Build and validate a tree from a preorder parent array."""
-        n = len(labels)
+        labels = _frozen(labels)
+        parent = _frozen(parent)
+        n = labels.size
         if n == 0:
             raise ValueError("a tree needs at least one node")
-        if len(parent) != n:
+        if parent.size != n:
             raise ValueError("labels and parent must have equal length")
         if parent[0] != -1:
             raise ValueError("node 0 must be the root (parent -1)")
         children: list[list[int]] = [[] for _ in range(n)]
         depth = [0] * n
-        for v in range(1, n):
-            p = parent[v]
+        for v, p in enumerate(parent.tolist()[1:], start=1):
             if not 0 <= p < v:
                 raise ValueError(f"node {v}: parent {p} is not an earlier node")
             children[p].append(v)
             depth[v] = depth[p] + 1
         _check_preorder(children, n)
-        return Tree(list(labels), list(parent), children, depth)
+        return Tree(labels, parent, _frozen(depth))
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only int64 copy of ``values``."""
+    arr = np.array(values, np.int64)
+    arr.flags.writeable = False
+    return arr
 
 
 def _check_preorder(children: list[list[int]], n: int) -> None:
@@ -122,16 +151,12 @@ def _check_preorder(children: list[list[int]], n: int) -> None:
         raise ValueError("parent array is not connected")
 
 
-def parse_tree(text: str, table: LabelTable | None = None) -> Tree:
-    """Parse one tree in the grammar ``tree := label ['(' tree (',' tree)* ')']``.
+def _scan_tree(text: str, table: LabelTable) -> Tree:
+    """Character-at-a-time parse of one tree; raises on the first error.
 
-    Labels are non-empty runs of characters other than brackets, commas and
-    whitespace.  Nodes are numbered in preorder.  Pass ``table`` to keep
-    label ids consistent across multiple trees; a throwaway table is used
-    otherwise.
+    The reference for ``_parse_texts``: it reports every grammar error
+    with its message and byte offset, and the tests compare the two.
     """
-    if table is None:
-        table = LabelTable()
     labels: list[int] = []
     parent: list[int] = []
     stack: list[int] = []
@@ -193,19 +218,136 @@ def parse_tree(text: str, table: LabelTable | None = None) -> Tree:
     return Tree.from_parents(labels, parent)
 
 
+# Character classes of the vectorized parser; a token's kind is its class.
+_LABEL, _SPACE, _OPEN, _CLOSE, _COMMA = range(5)
+_ASCII_CLASS = np.array(
+    [_SPACE if chr(c).isspace() else _LABEL for c in range(128)], np.int8)
+_ASCII_CLASS[[ord("("), ord(")"), ord(",")]] = [_OPEN, _CLOSE, _COMMA]
+# _FOLLOWS[a, b]: token kind b may come right after kind a within a text.
+# _SPACE never is a token, so its row stands for the start of a text.
+_FOLLOWS = np.zeros((5, 5), bool)
+_FOLLOWS[_SPACE, _LABEL] = True
+_FOLLOWS[_LABEL, [_OPEN, _CLOSE, _COMMA]] = True
+_FOLLOWS[_OPEN, _LABEL] = True
+_FOLLOWS[_CLOSE, [_CLOSE, _COMMA]] = True
+_FOLLOWS[_COMMA, _LABEL] = True
+_ENDS = np.zeros(5, bool)
+_ENDS[[_LABEL, _CLOSE]] = True
+# Brackets and commas to spaces: ``str.split`` then yields the labels.
+_TO_SPACES = str.maketrans("(),", "   ")
+
+
+def _char_classes(text: str) -> np.ndarray:
+    """The class of every character of ``text`` (whitespace as ``str.isspace``)."""
+    if text.isascii():
+        return _ASCII_CLASS[np.frombuffer(text.encode("ascii"), np.uint8)]
+    cp = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+    cls = _ASCII_CLASS[np.minimum(cp, 127)]
+    wide = np.unique(cp[cp > 127]).tolist()
+    spaces = [c for c in wide if chr(c).isspace()]
+    if spaces:
+        cls[np.isin(cp, spaces)] = _SPACE
+    return cls
+
+
+def _parse_texts(texts: Sequence[str], table: LabelTable) -> list[Tree] | None:
+    """Parse many trees in one numpy pass; None if any text is malformed.
+
+    The texts are joined with single spaces and tokenized at once: a token
+    is a maximal run of label characters or one bracket or comma.  A text
+    is well formed when it has a token, each token may follow the previous
+    one (``_FOLLOWS``, ``_ENDS``), the bracket level never drops below 0,
+    each comma sits at level 1 or deeper and the level is 0 at the text's
+    end.  Those rules leave one root per text: a label at level 0 after
+    the first token would have to follow a comma at level 0.  The level
+    at a label is its depth, and its parent is the last earlier label one
+    level up, found by one ``searchsorted`` over sorted (depth, id) keys.
+    Ids come out in preorder.  Labels are interned, in first-seen order, only
+    once every text has passed, so a malformed input changes nothing.
+    """
+    if not texts:
+        return []
+    joined = " ".join(texts)
+    starts = np.cumsum([0] + [len(t) + 1 for t in texts[:-1]])
+    cls = _char_classes(joined)
+    run = cls == _LABEL
+    tok = cls > _SPACE
+    tok[:1] |= run[:1]
+    tok[1:] |= run[1:] & ~run[:-1]
+    pos = np.flatnonzero(tok)
+    kind = cls[pos]
+    tid = np.searchsorted(starts, pos, side="right") - 1
+    first = np.ones(pos.size, bool)
+    first[1:] = tid[1:] != tid[:-1]
+    last = np.ones(pos.size, bool)
+    last[:-1] = first[1:]
+    prev = np.full(pos.size, _SPACE, np.int8)
+    prev[1:] = kind[:-1]
+    prev[first] = _SPACE
+    level = np.cumsum((kind == _OPEN).astype(np.int64) - (kind == _CLOSE))
+    if not (
+        np.count_nonzero(first) == len(texts)
+        and _FOLLOWS[prev, kind].all()
+        and _ENDS[kind[last]].all()
+        and (level >= 0).all()
+        and not level[last].any()
+        and (level[kind == _COMMA] > 0).all()
+    ):
+        return None
+
+    is_node = kind == _LABEL
+    depth = level[is_node]
+    n = depth.size
+    # In (depth, id) order the lookups (depth - 1, id) come sorted too.
+    keys = np.sort(depth * (n + 1) + np.arange(n))
+    below = np.searchsorted(keys, keys - (n + 1)) - 1
+    parent = np.empty(n, np.int64)
+    parent[keys % (n + 1)] = np.where(keys > n, keys[below] % (n + 1), -1)
+    sizes = np.bincount(tid[is_node], minlength=len(texts))
+    offsets = np.cumsum(sizes) - sizes
+    parent = np.where(parent < 0, -1, parent - np.repeat(offsets, sizes))
+
+    names = joined.translate(_TO_SPACES).split()
+    ids_of = dict.fromkeys(names)
+    for name in ids_of:
+        ids_of[name] = table.intern(name)
+    labels = np.fromiter(map(ids_of.__getitem__, names), np.int64, n)
+    for arr in (labels, parent, depth):
+        arr.flags.writeable = False
+    ends = np.cumsum(sizes).tolist()
+    return [Tree(labels[a:b], parent[a:b], depth[a:b]) for a, b in zip([0] + ends, ends)]
+
+
+def parse_tree(text: str, table: LabelTable | None = None) -> Tree:
+    """Parse one tree in the grammar ``tree := label ['(' tree (',' tree)* ')']``.
+
+    Labels are non-empty runs of characters other than brackets, commas and
+    whitespace.  Nodes are numbered in preorder.  Pass ``table`` to keep
+    label ids consistent across multiple trees; a throwaway table is used
+    otherwise.  Malformed text raises ``TreeParseError`` with the byte
+    offset of the first error.
+    """
+    if table is None:
+        table = LabelTable()
+    trees = _parse_texts([text], table)
+    return trees[0] if trees is not None else _scan_tree(text, table)
+
+
 def serialize_tree(tree: Tree, table: LabelTable | None = None) -> str:
     """Bracket text for a tree, children in stored order; inverse of parse_tree.
 
     Without a table, labels are spelled as their decimal ids.
     """
     spell = table.name if table is not None else str
+    labels = tree.labels.tolist()
+    children = tree.children
     parts: list[str] = []
     stack: list[tuple[int, int]] = [(tree.root, 0)]
     while stack:
         v, i = stack.pop()
-        ch = tree.children[v]
+        ch = children[v]
         if i == 0:
-            parts.append(spell(tree.labels[v]))
+            parts.append(spell(labels[v]))
             if ch:
                 parts.append("(")
                 stack.append((v, 1))
@@ -222,15 +364,18 @@ def serialize_tree(tree: Tree, table: LabelTable | None = None) -> str:
 def parse_corpus(lines: Iterable[str], table: LabelTable) -> list[Tree]:
     """One tree per non-blank line; lines starting with '#' are comments.
 
-    Parse errors are re-raised with the 1-based line number prefixed.
+    All lines are parsed in one pass.  Parse errors are re-raised with the
+    1-based line number of the first bad line prefixed.
     """
-    trees: list[Tree] = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    rows = [(lineno, s) for lineno, s in enumerate((ln.strip() for ln in lines), start=1)
+            if s and not s.startswith("#")]
+    trees = _parse_texts([s for _, s in rows], table)
+    if trees is not None:
+        return trees
+    trees = []
+    for lineno, text in rows:
         try:
-            trees.append(parse_tree(stripped, table))
+            trees.append(_scan_tree(text, table))
         except TreeParseError as exc:
             raise exc.located(f"line {lineno}") from None
     return trees

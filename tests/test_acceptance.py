@@ -123,7 +123,7 @@ def test_02_linear_esa_equals_reference(capsys):
         nonlocal mismatches, checked
         a = build_esa_linear(tree)
         b = build_esa_reference(tree)
-        if not (a.sa == b.sa and a.lcp == b.lcp and a.rsa == b.rsa):
+        if a != b:
             mismatches += 1
         checked += 1
 

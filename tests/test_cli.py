@@ -99,6 +99,28 @@ class TestEsaDumpCommand:
         out = capsys.readouterr().out
         assert out == "0\t0\t0\ta\n1\t1\t2\tb/a\n2\t2\t-1\tb/a\n"
 
+    def test_pinned_two_tree_dump(self, tmp_path, capsys):
+        # multi-character labels, tied suffixes and a blank line between blocks
+        f = write(tmp_path / "t.trees", "a(bb(a),bb,c(a(a)))\nbb(a,a(c,bb))\n")
+        want = (
+            "0\t0\t1\ta\n"
+            "1\t6\t1\ta/a/c/a\n"
+            "2\t2\t1\ta/bb/a\n"
+            "3\t5\t0\ta/c/a\n"
+            "4\t1\t2\tbb/a\n"
+            "5\t3\t0\tbb/a\n"
+            "6\t4\t-1\tc/a\n"
+            "\n"
+            "0\t1\t2\ta/bb\n"
+            "1\t2\t0\ta/bb\n"
+            "2\t0\t1\tbb\n"
+            "3\t4\t0\tbb/a/bb\n"
+            "4\t3\t-1\tc/a/bb\n"
+        )
+        for builder in ("linear", "reference"):
+            assert main(["esa-dump", "--builder", builder, f]) == 0
+            assert capsys.readouterr().out == want
+
     def test_blocks_blank_line_separated(self, tmp_path, capsys):
         f = write(tmp_path / "t.trees", "a\nb\n")
         assert main(["esa-dump", f]) == 0

@@ -79,18 +79,18 @@ class TestMerge:
     def test_two_singletons(self):
         table = LabelTable()
         m = merge_trees(parse_tree("a", table), parse_tree("b", table))
-        assert m.labels == [0, 1]
-        assert m.parent == [-1, -1]
-        assert m.depth == [0, 0]
-        assert m.source == [0, 1]
+        assert m.labels.tolist() == [0, 1]
+        assert m.parent.tolist() == [-1, -1]
+        assert m.depth.tolist() == [0, 0]
+        assert m.source.tolist() == [0, 1]
 
     def test_component_sizes(self):
         t1, t2 = random_tree(9, 2, 0), random_tree(4, 2, 1)
         m = merge_trees(t1, t2)
         assert len(m.labels) == t1.n + t2.n
-        assert m.source == [0] * t1.n + [1] * t2.n
-        assert m.parent[t1.n:] == [-1] + [p + t1.n for p in t2.parent[1:]]
-        assert m.depth == t1.depth + t2.depth
+        assert m.source.tolist() == [0] * t1.n + [1] * t2.n
+        assert m.parent[t1.n:].tolist() == [-1] + [p + t1.n for p in t2.parent[1:].tolist()]
+        assert m.depth.tolist() == t1.depth.tolist() + t2.depth.tolist()
 
 
 class TestFrozenValues:
@@ -248,6 +248,18 @@ class TestGram:
         for i, ti in enumerate(trees):
             for j, tj in enumerate(trees):
                 assert rel_close(g[i][j], subpath_kernel_oracle(ti, tj, lam), 1e-12)
+
+    @pytest.mark.parametrize("lam", [0.5, 1e-200])
+    def test_normalize_bit_identical_to_elementwise_formula(self, lam):
+        # lam = 1e-200 underflows every diag[i] * diag[j] to 0: the d > 0 guard
+        trees = [random_tree(random.Random(i).randint(1, 40), 3, i) for i in range(9)]
+        g = gram_matrix(trees, KernelParams(lam=lam))
+        gn = gram_matrix(trees, KernelParams(lam=lam), normalize=True)
+        for i in range(9):
+            for j in range(9):
+                d = math.sqrt(g[i][i] * g[j][j])
+                want = g[i][j] / d if d > 0 else 0.0
+                assert type(gn[i][j]) is float and gn[i][j].hex() == want.hex()
 
     def test_positive_semidefinite(self):
         trees = [random_tree(random.Random(100 + i).randint(1, 40), 4, 100 + i)

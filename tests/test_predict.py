@@ -170,6 +170,17 @@ class TestIndexStructure:
             for a, b in zip(kids, kids[1:]):
                 assert idx.iv_rb[a] <= idx.iv_lb[b]
 
+    def test_leaves_share_one_empty_children_dict(self):
+        sv = make_sv(6, 30, 2, 8)
+        idx = build_master_index(sv)
+        has_children = set(idx.iv_parent[1:])
+        leaves = [c for c in range(idx.n_intervals) if c not in has_children]
+        assert leaves and all(idx.iv_children[c] is idx.iv_children[leaves[0]] for c in leaves)
+        assert all(idx.iv_children[c] for c in has_children)
+        for t in (random_tree(40, 2, s) for s in range(10)):
+            predict(idx, t)
+        assert idx.iv_children[leaves[0]] == {}
+
     def test_wv_root_counts_alpha_mass(self):
         sv = make_sv(8, 40, 3, 5, signed=True)
         idx = build_master_index(sv)
@@ -456,6 +467,25 @@ class TestModelFile:
             with pytest.raises(error) as exc:
                 load_model(str(path))
             assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("rows,error,message", [
+        ("1\ta(b\nx\tb\n", TreeParseError, "model line 3: unbalanced brackets (byte 3)"),
+        ("x\ta(b)\n1\tb(\n", ValueError, "model line 3: alpha is not a number: 'x'"),
+        ("1\ta\nno-tab\n1\tb(\n", ValueError, "model line 4: expected"),
+        ("1\ta\n\n1\tb((\nnan\tc\n", TreeParseError, "model line 5: expected a label (byte 2)"),
+    ])
+    def test_first_of_two_bad_rows_is_named(self, tmp_path, rows, error, message):
+        path = tmp_path / "model.txt"
+        path.write_text("lambda 0.5\nbias 0.1\n" + rows)
+        with pytest.raises(error) as exc:
+            load_model(str(path))
+        assert str(exc.value).startswith(message)
+
+    def test_rows_share_one_label_table(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("lambda 1\n1\ta(b)\n2\tb(a)\n")
+        sv = load_model(str(path))
+        assert sv.trees[0].labels.tolist() == sv.trees[1].labels.tolist()[::-1] == [0, 1]
 
     @pytest.mark.parametrize("text", ["lambda 1\nbias nan\n", "lambda 1\ninf\ta\n",
                                       "lambda 1\n1\ta\n-inf\tb\n", "lambda nan\n"])

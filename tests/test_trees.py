@@ -1,5 +1,8 @@
 """Tree model, bracket-grammar parser/serializer, and generators."""
 
+import random
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +10,8 @@ from subpath_kernel.trees import (
     LabelTable,
     Tree,
     TreeParseError,
+    _parse_texts,
+    _scan_tree,
     parse_corpus,
     parse_tree,
     path_tree,
@@ -27,21 +32,21 @@ class TestParse:
     def test_single_node(self):
         t = parse_tree("a")
         assert t.n == 1
-        assert t.labels == [0]
-        assert t.parent == [-1]
-        assert t.depth == [0]
+        assert t.labels.tolist() == [0]
+        assert t.parent.tolist() == [-1]
+        assert t.depth.tolist() == [0]
 
     def test_two_children(self):
         t = parse_tree("a(b,c)")
         assert t.n == 3
-        assert t.parent == [-1, 0, 0]
-        assert t.depth == [0, 1, 1]
+        assert t.parent.tolist() == [-1, 0, 0]
+        assert t.depth.tolist() == [0, 1, 1]
 
     def test_nested_with_repeat_label(self):
         table = LabelTable()
         t = parse_tree("a(b(c),b)", table)
         assert t.n == 4
-        assert t.depth == [0, 1, 2, 1]
+        assert t.depth.tolist() == [0, 1, 2, 1]
         b = table.intern("b")
         assert t.labels[1] == b and t.labels[3] == b
         assert t.children[0] == [1, 3]
@@ -104,15 +109,15 @@ class TestSerialize:
         for seed in range(20):
             t = random_tree(50, 5, seed)
             u = parse_tree(serialize_tree(t))
-            assert u.parent == t.parent
-            assert u.labels == first_seen_renumbering(t.labels)
+            assert u.parent.tolist() == t.parent.tolist()
+            assert u.labels.tolist() == first_seen_renumbering(t.labels.tolist())
 
     def test_decimal_spellings_without_table(self):
         t = random_tree(8, 3, 1)
         text = serialize_tree(t)
         u = parse_tree(text)
         # decimal labels re-interned in first-seen order still match structure
-        assert u.parent == t.parent
+        assert u.parent.tolist() == t.parent.tolist()
 
     @given(st.integers(1, 60), st.integers(1, 6), st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
@@ -121,8 +126,9 @@ class TestSerialize:
         # first-seen renumbering a fresh parse applies
         t = random_tree(n, sigma, seed)
         u = parse_tree(serialize_tree(t))
-        assert (u.parent, u.depth) == (t.parent, t.depth)
-        assert u.labels == first_seen_renumbering(t.labels)
+        assert u.parent.tolist() == t.parent.tolist()
+        assert u.depth.tolist() == t.depth.tolist()
+        assert u.labels.tolist() == first_seen_renumbering(t.labels.tolist())
 
 
 class TestLabelTable:
@@ -175,7 +181,7 @@ class TestTreeValidation:
 class TestGenerators:
     def test_single_node(self):
         t = random_tree(1, 4, 0)
-        assert t.n == 1 and t.depth == [0]
+        assert t.n == 1 and t.depth.tolist() == [0]
 
     def test_size_and_alphabet(self):
         t = random_tree(1000, 5, 42)
@@ -185,12 +191,12 @@ class TestGenerators:
     def test_deterministic(self):
         a = random_tree(300, 7, 99)
         b = random_tree(300, 7, 99)
-        assert (a.labels, a.parent) == (b.labels, b.parent)
+        assert a == b
 
     def test_seed_sensitivity(self):
         a = random_tree(300, 7, 1)
         b = random_tree(300, 7, 2)
-        assert (a.labels, a.parent) != (b.labels, b.parent)
+        assert a != b
 
     def test_zero_nodes_rejected(self):
         with pytest.raises(ValueError):
@@ -207,15 +213,15 @@ class TestGenerators:
 
     def test_path_and_star_shapes(self):
         p = path_tree(5)
-        assert p.depth == [0, 1, 2, 3, 4]
+        assert p.depth.tolist() == [0, 1, 2, 3, 4]
         assert p.leaf_count == 1
         s = star_tree(5)
-        assert s.depth == [0, 1, 1, 1, 1]
+        assert s.depth.tolist() == [0, 1, 1, 1, 1]
         assert s.leaf_count == 4
         p2 = path_tree(6, labels=3)
-        assert p2.labels == [3] * 6
+        assert p2.labels.tolist() == [3] * 6
         p3 = path_tree(6, [i % 3 for i in range(6)])
-        assert p3.labels == [0, 1, 2, 0, 1, 2]
+        assert p3.labels.tolist() == [0, 1, 2, 0, 1, 2]
 
 
 class TestCorpus:
@@ -229,3 +235,91 @@ class TestCorpus:
             parse_corpus(["a", "b((" ], LabelTable())
         assert str(exc.value) == "line 2: expected a label (byte 2)"
         assert exc.value.offset == 2
+
+
+# Every error class of the grammar with its message and byte offset.
+ERROR_CASES = [
+    ("(a)", "expected a label", 0),
+    ("a(,b)", "expected a label", 2),
+    ("a(b)(c)", "'(' must follow a label", 4),
+    ("a,b", "comma outside brackets", 1),
+    ("a(b))", "unmatched ')'", 4),
+    ("é(日本)),", "unmatched ')'", 10),
+    ("a(b)c", "trailing garbage after tree", 4),
+    ("\u3000a(b)\u3000c", "trailing garbage after tree", 10),
+    ("", "empty input", 0),
+    ("   ", "empty input", 3),
+    ("a(", "missing subtree", 2),
+    ("日本(é,", "missing subtree", 10),
+    ("a(b", "unbalanced brackets", 3),
+]
+LABEL_POOL = ["a", "bc", "é", "日本", "x_1", "ñandú"]
+SPACES = ["", "", " ", "\t", "\n", "\u3000", "\xa0"]
+
+
+def spaced_text(t: Tree, rng: random.Random) -> str:
+    """Bracket text of t over multi-character and non-ASCII labels, with
+    random whitespace (ASCII and not) between tokens."""
+    table = LabelTable()
+    for name in rng.sample(LABEL_POOL, len(LABEL_POOL)):
+        table.intern(name)
+    tokens = re.findall(r"[^(),]+|[(),]", serialize_tree(t, table))
+    return "".join(rng.choice(SPACES) + tok for tok in tokens) + rng.choice(SPACES)
+
+
+def scanned(texts, table):
+    return [_scan_tree(text, table) for text in texts]
+
+
+class TestVectorizedParse:
+    def test_equals_scanner_on_spaced_random_trees(self):
+        rng = random.Random(5)
+        for seed in range(200):
+            t = random_tree(rng.randint(1, 120), len(LABEL_POOL), seed)
+            text = spaced_text(t, rng)
+            fast, slow = LabelTable(), LabelTable()
+            assert parse_tree(text, fast) == _scan_tree(text, slow)
+            assert fast._names == slow._names
+
+    def test_batch_equals_scanner_with_shared_table(self):
+        rng = random.Random(6)
+        texts = [spaced_text(random_tree(rng.randint(1, 60), 6, s), rng) for s in range(50)]
+        fast, slow = LabelTable(), LabelTable()
+        fast.intern("日本")
+        slow.intern("日本")
+        assert _parse_texts(texts, fast) == scanned(texts, slow)
+        assert fast._names == slow._names
+
+    def test_output_arrays_are_read_only(self):
+        for t in (parse_tree("a(b,c)"), random_tree(5, 2, 0)):
+            for arr in (t.labels, t.parent, t.depth):
+                assert not arr.flags.writeable
+
+    @given(st.text(alphabet="ab(), é\t", max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_what_the_scanner_accepts(self, text):
+        table = LabelTable()
+        try:
+            want = _scan_tree(text, LabelTable())
+        except TreeParseError:
+            assert _parse_texts([text], table) is None
+            assert len(table) == 0
+        else:
+            assert _parse_texts([text], table) == [want]
+
+    @pytest.mark.parametrize("text,message,offset", ERROR_CASES)
+    def test_error_message_and_offset(self, text, message, offset):
+        assert _parse_texts(["a(b)", text, "c"], LabelTable()) is None
+        with pytest.raises(TreeParseError) as exc:
+            parse_tree(text)
+        assert (exc.value.message, exc.value.offset) == (message, offset)
+        if text and text == text.strip():
+            # parse_corpus strips each line, which would move the offset
+            with pytest.raises(TreeParseError) as exc:
+                parse_corpus(["a(b)", "# note", text, "c"], LabelTable())
+            assert str(exc.value) == f"line 3: {message} (byte {offset})"
+
+    def test_corpus_names_the_first_bad_line(self):
+        with pytest.raises(TreeParseError) as exc:
+            parse_corpus(["a", "b(c", "", "d)", "e("], LabelTable())
+        assert str(exc.value) == "line 2: unbalanced brackets (byte 3)"
