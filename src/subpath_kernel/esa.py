@@ -147,6 +147,22 @@ def build_esa_reference(tree) -> TreeSuffixArray:
 # ---------------------------------------------------------------------------
 # prefix-doubling builder
 
+# Node ids, ranks and the sentinel n must fit in int32.
+_MAX_NODES = 2**31 - 1
+
+
+def _dense_ranks(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense 1-based int32 ranks of ``key``, then the sentinel's rank 0.
+
+    Returns the ``key.size + 1`` ranks and the number of distinct keys.
+    """
+    order = np.argsort(key)
+    sk = key[order]
+    dense = np.cumsum(np.concatenate(([True], sk[1:] != sk[:-1])), dtype=np.int32)
+    rank = np.zeros(key.size + 1, np.int32)
+    rank[order] = dense
+    return rank, int(dense[-1])
+
 
 def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
     """Prefix-doubling builder; output equals ``build_esa_reference``.
@@ -158,19 +174,29 @@ def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
     n = int(lab.size)
     if n == 0:
         return _finish([], [])
+    if n >= _MAX_NODES:
+        raise ValueError(f"build_esa_linear takes fewer than {_MAX_NODES} nodes, got {n}")
     par = tree.parent
     dep = tree.depth
     # Index n is the sentinel: its own ancestor, rank 0 at every level.
-    anc = np.append(np.where(par < 0, n, par), n)
-    rank = np.append(np.unique(lab, return_inverse=True)[1] + 1, 0)
+    # Ranks and ancestors are at most n, so they are held as int32, which
+    # halves the bytes every gather moves; sort keys are int64.
+    anc = np.empty(n + 1, np.int32)
+    anc[:n] = par
+    anc[:n][par < 0] = n
+    anc[n] = n
+    rank, distinct = _dense_ranks(lab)
     ranks, ancs = [rank], [anc]
-    while int(rank.max()) < n and bool((anc[:n] < n).any()):
-        key = rank[:n] * (n + 1) + rank[anc[:n]]
-        order = np.argsort(key)
-        sk = key[order]
-        rank = np.zeros(n + 1, np.int64)
-        rank[order] = np.cumsum(np.concatenate(([True], sk[1:] != sk[:-1])))
+    # Rounds stop once the ranks are distinct, or once no node has a
+    # step-th ancestor, i.e. step exceeds the greatest depth.
+    step = 1
+    max_depth = int(dep.max())
+    while distinct < n and step <= max_depth:
+        key = np.multiply(rank[:n], n + 1, dtype=np.int64)
+        key += rank[anc[:n]]
+        rank, distinct = _dense_ranks(key)
         anc = anc[anc]
+        step *= 2
         ranks.append(rank)
         ancs.append(anc)
     if stats is not None:
@@ -178,7 +204,9 @@ def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
 
     # The final ranks tie only for identical suffixes, which order by id:
     # sorting the distinct keys rank * n + id gives that order directly.
-    sa = np.sort(rank[:n] * n + np.arange(n)) % n
+    sa = np.multiply(rank[:n], n, dtype=np.int64)
+    sa += np.arange(n)
+    sa = np.sort(sa) % n
     u, v = sa[:-1], sa[1:]
     cap = np.minimum(dep[u], dep[v]) + 1
     h = np.zeros(n - 1, np.int64)

@@ -7,10 +7,10 @@ in the two trees, weighted by lam**len(p).  Equivalently it is the sum over
 all cross-tree suffix pairs of W[lcp], where W[k] = sum_{j<=k} lam**j.
 
 The fast path places both trees side by side in one forest, builds a
-single suffix array over every node-to-root suffix, and accumulates
-interval products in one left-to-right sweep over the lcp array with a
-stack of (depth, count-in-tree-1, count-in-tree-2) frames — O(n) after the
-build.
+single suffix array over every node-to-root suffix, finds its lcp intervals
+with ``lcp_intervals`` (one stack pass, shared with the master index of
+``predict``), and sums each interval's weighted count product in numpy —
+O(n) after the build.
 
 ``subpath_kernel_oracle`` recounts everything with a hash map of explicit
 prefix strings; it is the slow, independent cross-check.
@@ -40,16 +40,18 @@ class KernelParams:
             raise ValueError(f"lam must be in (0, 1], got {self.lam}")
 
 
-def weight_table(max_len: int, lam: float) -> list[float]:
-    """W[k] = lam + lam**2 + ... + lam**k, accumulated to avoid pow churn."""
-    w = [0.0] * (max_len + 1)
-    acc = 0.0
-    p = 1.0
-    for k in range(1, max_len + 1):
-        p *= lam
-        acc += p
-        w[k] = acc
-    return w
+def weight_table(max_len: int, lam: float) -> np.ndarray:
+    """W[k] = lam + lam**2 + ... + lam**k for 0 <= k <= max_len.
+
+    A running product of lam behind a leading 1.0, then a running sum
+    behind a leading 0.0: both accumulate in order, so every entry is
+    rounded exactly as by the loop ``p *= lam; acc += p``.
+    """
+    w = np.full(max_len + 1, lam, np.float64)
+    w[0] = 1.0
+    np.multiply.accumulate(w, out=w)
+    w[0] = 0.0
+    return np.add.accumulate(w, out=w)
 
 
 @dataclass(frozen=True)
@@ -95,59 +97,71 @@ def merged_esa(merged: MergedTree, builder: str = "linear") -> _esa.TreeSuffixAr
     return _esa.select_builder(builder)(merged)
 
 
-def _sweep(sa, lcp, depth, source, w) -> float:
-    """Interval sum over the lcp array in one pass.
+def lcp_intervals(lcp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every lcp interval of positive depth, in the order they close.
 
-    A stack frame (h, c1, c2) records how many suffixes from each tree sit
-    in the currently open interval of string depth h.  Closing an interval
-    of depth h inside one of depth g contributes (W[h] - W[g]) * c1 * c2:
-    each cross pair shares a prefix of length h, of which g was already
-    charged to the enclosing interval.  Identical suffixes of both trees
-    tie at their full length h and share one frame.
+    ``lcp[i]`` is the lcp of ranks i and i + 1; the last entry is ignored.
+    An interval of depth d is a maximal rank range [lb, rb) whose inner
+    boundaries are all >= d, at least one of them equal to d.  Returns int64
+    arrays (depth, lb, rb, enclosing), where ``enclosing`` is the depth of
+    the smallest interval around it (0 for the root, which is not reported).
+
+    One stack of open (depth, lb) frames (Abouelhoda, Kurtz & Ohlebusch
+    2004), read only at the ranks where the boundary lcp changes: between
+    two of them nothing opens or closes.  A drop pops every deeper frame
+    and closes it at that rank; a rise pushes a frame starting at the
+    left end of the last frame popped, or at the rank itself.
     """
-    if sa.size == 0:
-        return 0.0
-    # Gather each rank's suffix depth and tree up front, so the stack loop
-    # reads its inputs in rank order instead of jumping through node ids.
-    hs = (depth[sa] + 1).tolist()
-    ones = (source[sa] == 0).tolist()
-    bs = lcp.tolist()
-    bs[-1] = 0
-    total = 0.0
-    stack = [[-1, 0, 0]]
-    top = stack[0]
-    for h, one, b in zip(hs, ones, bs):
-        if top[0] != h:
-            top = [h, 0, 0]
-            stack.append(top)
-        if one:
-            top[1] += 1
-        else:
-            top[2] += 1
-        while top[0] > b:
-            ph, c1, c2 = stack.pop()
-            top = stack[-1]
-            g = top[0]
-            if g < b:
-                g = b
-            if c1 and c2:
-                total += (w[ph] - (w[g] if g > 0 else 0.0)) * c1 * c2
-            if top[0] == g:
-                top[1] += c1
-                top[2] += c2
-            else:
-                top = [g, c1, c2]
-                stack.append(top)
-    return total
+    # ext[i + 1] is boundary i; the root's depth 0 stands on both sides.
+    ext = np.concatenate(([0], lcp[:-1], [0]))
+    pos = np.flatnonzero(ext[1:] != ext[:-1])
+    depths, lbs, rbs = [], [], []
+    stack_depth = [0]
+    stack_lb = [0]
+    top = 0
+    for i, h in zip(pos.tolist(), ext[pos + 1].tolist()):
+        lb = i
+        while h < top:
+            lb = stack_lb.pop()
+            depths.append(top)
+            lbs.append(lb)
+            rbs.append(i)
+            stack_depth.pop()
+            top = stack_depth[-1]
+        if h > top:
+            stack_depth.append(h)
+            stack_lb.append(lb)
+            top = h
+    k = len(depths)
+    depth = np.fromiter(depths, np.int64, k)
+    lb = np.fromiter(lbs, np.int64, k)
+    rb = np.fromiter(rbs, np.int64, k) + 1
+    # The enclosing interval's depth is the larger boundary just outside.
+    return depth, lb, rb, np.maximum(ext[lb], ext[rb])
 
 
 def subpath_kernel(t1: Tree, t2: Tree, params: KernelParams, *, builder: str = "linear") -> float:
-    """K(t1, t2) via the merged suffix array, O(|t1| + |t2|) post-build."""
+    """K(t1, t2) via the merged suffix array, O(|t1| + |t2|) post-build.
+
+    Each lcp interval of depth d inside one of depth g adds
+    (W[d] - W[g]) * c1 * c2, where c1 and c2 count its suffixes from each
+    tree: every cross pair in it shares a prefix of length d, of which g
+    was already charged to the enclosing interval.  Identical suffixes of
+    both trees tie at their full length and share one interval; a suffix
+    alone in its leaf interval pairs with nothing there.
+    """
     merged = merge_trees(t1, t2)
     arr = merged_esa(merged, builder=builder)
-    maxh = int(merged.depth.max(initial=0)) + 1
-    w = weight_table(maxh, params.lam)
-    return _sweep(arr.sa, arr.lcp, merged.depth, merged.source, w)
+    depth, lb, rb, enclosing = lcp_intervals(arr.lcp)
+    if depth.size == 0:
+        return 0.0
+    w = weight_table(int(merged.depth.max()) + 1, params.lam)
+    ones = np.concatenate(([0], np.cumsum(merged.source[arr.sa] == 0)))
+    c1 = ones[rb] - ones[lb]
+    c2 = rb - lb - c1
+    # A sequential sum in closing order: the float order of a stack sweep,
+    # where np.sum would add pairwise.
+    return float(np.cumsum((w[depth] - w[enclosing]) * c1 * c2)[-1])
 
 
 def _prefix_counts(tree: Tree) -> Counter:

@@ -17,9 +17,13 @@ tree is annotated once:
   reverse id order (children before parents) turns scoring into a single
   sweep whose work is governed by the matching-statistics bound rather than
   by sum of suffix lengths.  The sweep keeps the current node's root path
-  in an array, so each input label it reads is one list lookup; only the
-  master side (labels inside a long interval edge) asks the master's
-  level-ancestor index.
+  in an array, so each input label it reads is one list lookup; a master
+  label inside a long interval edge is read off a cursor node that moves
+  one parent step per comparison.
+
+The intervals come from ``kernel.lcp_intervals``, the stack pass the pair
+kernel uses too; a level-ancestor batch finds each interval's edge-start
+node once, at build time.
 
 ``predict_direct`` recomputes the same score as an explicit sum of pairwise
 kernels and serves as the independent cross-check.
@@ -32,9 +36,16 @@ import math
 
 import numpy as np
 
-from .kernel import KernelParams, MergedTree, merge_forest, merged_esa, subpath_kernel, weight_table
+from .kernel import (
+    KernelParams,
+    MergedTree,
+    lcp_intervals,
+    merge_forest,
+    merged_esa,
+    subpath_kernel,
+    weight_table,
+)
 from .level_ancestor import LevelAncestorIndex
-from .rmq import RmqIndex
 from .trees import LabelTable, Tree, TreeParseError, _parse_texts, parse_tree, serialize_tree
 
 
@@ -61,7 +72,9 @@ class MasterIndex:
     Interval id 0 is the root (empty string, full rank range), and ids are
     a preorder.  Parallel arrays index intervals; ``iv_rb`` is exclusive.
     ``iv_children`` maps the branching label to the child interval;
-    ``iv_slink`` is the interval of the same string minus its first label.
+    ``iv_slink`` is the interval of the same string minus its first label;
+    ``iv_edge`` is the master node holding the first label of a non-root
+    interval's edge, on the suffix at rank ``iv_lb`` (-1 for the root).
     """
 
     lam: float
@@ -77,7 +90,7 @@ class MasterIndex:
     iv_wv: list[float]
     iv_val: list[float]
     iv_slink: list[int]
-    la: LevelAncestorIndex
+    iv_edge: list[int]
 
     @property
     def n_intervals(self) -> int:
@@ -113,22 +126,16 @@ def _intervals(lcp, hs):
 
     ``lcp`` holds the boundary lcp of each rank with the next (last entry
     -1), ``hs`` the full suffix length of each rank.  The intervals are the
-    root, the maximal run of boundaries >= b around each boundary of
-    positive lcp b (one per distinct depth and left end), and a singleton
-    for each rank whose full suffix ties neither neighbour.  rb is
-    exclusive.
+    root, those of ``lcp_intervals``, and a singleton for each rank whose
+    full suffix ties neither neighbour.  rb is exclusive.
     """
     n = hs.size
-    b = lcp[:-1]
-    pos = np.flatnonzero(b > 0)
-    lo, hi = RmqIndex(b).run_bounds(pos, b[pos])
-    _, first = np.unique(b[pos] * (n + 1) + lo, return_index=True)
-    left = np.concatenate(([-1], b))
+    depth, lb, rb, _ = lcp_intervals(lcp)
+    left = np.concatenate(([-1], lcp[:-1]))
     single = np.flatnonzero((hs != left) & (hs != lcp))
-    depth = np.concatenate(([0], b[pos[first]], hs[single]))
-    lb = np.concatenate(([0], lo[first], single))
-    rb = np.concatenate(([n], hi[first] + 2, single + 1))
-    return depth, lb, rb
+    return (np.concatenate(([0], depth, hs[single])),
+            np.concatenate(([0], lb, single)),
+            np.concatenate(([n], rb, single + 1)))
 
 
 def build_master_index(sv: SupportSet, *, builder: str = "linear") -> MasterIndex:
@@ -167,14 +174,14 @@ def build_master_index(sv: SupportSet, *, builder: str = "linear") -> MasterInde
     slink = np.append(0, np.where(at_root, 0, holding(depth[1:] - 1, ranks)))
 
     la = LevelAncestorIndex(merged.parent, merged.depth)
-    blab = la.query_batch(first, depth[parent[1:]])
-    blabels = merged.labels[blab].tolist()
+    edge = la.query_batch(first, depth[parent[1:]])
+    blabels = merged.labels[edge].tolist()
 
     # alpha mass per interval: prefix sums over ranks by source tree.
     alpha = np.asarray(sv.alphas, np.float64)[merged.source[sa]]
     pref = np.cumsum(np.concatenate(([0.0], alpha)))
     iv_wv = (pref[rb] - pref[lb]).tolist()
-    weights = weight_table(int(slen.max(initial=1)), sv.params.lam)
+    weights = weight_table(int(slen.max(initial=1)), sv.params.lam).tolist()
 
     iv_depth = depth.tolist()
     iv_parent = parent.tolist()
@@ -205,7 +212,7 @@ def build_master_index(sv: SupportSet, *, builder: str = "linear") -> MasterInde
         iv_wv=iv_wv,
         iv_val=iv_val,
         iv_slink=slink.tolist(),
-        la=la,
+        iv_edge=[-1] + edge.tolist(),
     )
 
 
@@ -230,6 +237,22 @@ def matching_statistics(idx: MasterIndex, t: Tree, *, use_skips: bool = True) ->
     v is reached only the entries from depth[v] up to the first one that
     already holds v's ancestor are stale; each node is written once, O(n)
     in all.
+
+    The master label at distance q inside interval x is read off a cursor
+    ``cur``: a master node at distance q on some suffix of interval ``cx``.
+    A comparison that matches moves it to its parent.  It goes stale only
+    when a descent changes x, so a comparison that finds cx != x is the
+    first one after a descent, at q one past the edge's first label, and
+    takes the parent of ``iv_edge[x]``.  A resume reuses the best child's
+    cursor unchanged: it is at distance l on the suffix of some master node
+    w, hence at distance l - 1 on the suffix of w's parent, which lies in
+    the resumed interval.  A cursor passed on this way can be stale only
+    if the child's match ended where no comparison could follow: its labels
+    ran out, or its locus has depth l (no child interval matched there).
+    Then the parent's labels run out at l - 1 as well, or its resumed
+    interval, the locus of the child's string minus its first label, has
+    depth l - 1 = q; either way the parent descends or stops before it
+    compares, and a descent marks the cursor stale.
     """
     n = t.n
     lengths = [0] * n
@@ -239,15 +262,15 @@ def matching_statistics(idx: MasterIndex, t: Tree, *, use_skips: bool = True) ->
     # leaves the lowest id among the longest.
     best = [-1] * n
     best_len = [-1] * n
+    best_cur = [-1] * n
     comparisons = descents = slinks = skips = 0
     iv_depth = idx.iv_depth
     iv_parent = idx.iv_parent
     iv_children = idx.iv_children
     iv_slink = idx.iv_slink
-    iv_lb = idx.iv_lb
-    sa = idx.sa
+    iv_edge = idx.iv_edge
     mlab = idx.merged.labels
-    la_m = idx.la
+    mparent = idx.merged.parent
     tlab = t.labels.tolist()
     parent_t = t.parent.tolist()
     depth_t = t.depth.tolist()
@@ -255,6 +278,7 @@ def matching_statistics(idx: MasterIndex, t: Tree, *, use_skips: bool = True) ->
     h = t.height
     path = [0] + [-1] * (h - 1)
     plab = [tlab[0]] * h
+    cur = -1
 
     for v in range(n - 1, -1, -1):
         dv = depth_t[v]
@@ -266,6 +290,7 @@ def matching_statistics(idx: MasterIndex, t: Tree, *, use_skips: bool = True) ->
             d -= 1
         q = 0
         x = 0
+        cx = -1
         if use_skips and best[v] >= 0:
             q0 = best_len[v] - 1
             if q0 > 0:
@@ -275,12 +300,18 @@ def matching_statistics(idx: MasterIndex, t: Tree, *, use_skips: bool = True) ->
                     skips += 1
                     x = iv_children[x][plab[dv - iv_depth[x]]]
                 q = q0
+                cur = best_cur[v]
+                cx = x
         while q <= dv:
             c = plab[dv - q]
             if q < iv_depth[x]:
                 comparisons += 1
-                if mlab[la_m.query(sa[iv_lb[x]], q)] != c:
+                if cx != x:
+                    cur = mparent[iv_edge[x]]
+                    cx = x
+                if mlab[cur] != c:
                     break
+                cur = mparent[cur]
                 q += 1
             else:
                 descents += 1
@@ -295,6 +326,7 @@ def matching_statistics(idx: MasterIndex, t: Tree, *, use_skips: bool = True) ->
         if p >= 0 and q >= best_len[p]:
             best[p] = v
             best_len[p] = q
+            best_cur[p] = cur
     return MatchStats(lengths=lengths, locus=locus, comparisons=comparisons,
                       descents=descents, slinks=slinks, skips=skips)
 

@@ -1,9 +1,9 @@
 """Range-minimum queries over integer arrays via a doubling sparse table.
 
-Build is O(n log n) time and space; ``query`` is O(1) and ``run_bounds``
-answers a batch of nearest-smaller-value queries in O(log n) vectorized
-steps.  The master index (``predict.build_master_index``) finds its lcp
-intervals with ``run_bounds``; the tests use ``query`` as an oracle.
+Build is O(n log n) time and space; ``query`` is O(1).  The tests use it
+as the lcp oracle: the lcp of the suffixes at ranks x < y is the minimum
+of lcp[x..y-1].  The library finds lcp intervals with one stack pass
+instead (``kernel.lcp_intervals``).
 """
 
 from __future__ import annotations
@@ -52,26 +52,3 @@ class RmqIndex:
         j = int(self._logt[y - x + 1])
         row = self._levels[j]
         return int(min(row[x], row[y - (1 << j) + 1]))
-
-    def run_bounds(self, pos, floor) -> tuple[np.ndarray, np.ndarray]:
-        """Maximal runs values[lo..hi] >= floor around each position.
-
-        Vectorized over ``pos`` and ``floor``; values[pos] >= floor must
-        hold.  lo - 1 and hi + 1 are the nearest positions left and right of
-        pos holding a value below floor (-1 and n when there is none).  Each
-        level extends both ends by one whole window when that window stays
-        at or above floor, largest windows first.
-        """
-        floor = np.asarray(floor, np.int64)
-        lo = np.array(pos, np.int64, copy=True)
-        hi = lo.copy()
-        for j in range(len(self._levels) - 1, -1, -1):
-            row = self._levels[j]
-            last = row.size - 1
-            s = lo - (1 << j)
-            ok = (s >= 0) & (row[np.maximum(s, 0)] >= floor)
-            lo = np.where(ok, s, lo)
-            s = hi + 1
-            ok = (s <= last) & (row[np.minimum(s, last)] >= floor)
-            hi = np.where(ok, hi + (1 << j), hi)
-        return lo, hi

@@ -3,6 +3,7 @@ linear-vs-reference differential."""
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -162,6 +163,12 @@ class TestLinearInternals:
             stats = {}
             build_esa_linear(t, stats)
             assert stats["recursion_depth"] <= math.log(n, 1.5) + 3
+
+    def test_node_count_beyond_int32_rejected(self):
+        # ranks and ancestors are held as int32; the check reads only the size
+        huge = SimpleNamespace(labels=SimpleNamespace(size=2**31 - 1))
+        with pytest.raises(ValueError, match="fewer than"):
+            build_esa_linear(huge)
 
     def test_forest_input(self):
         """Builders accept multi-root forests (parent -1 per component)."""

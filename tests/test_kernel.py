@@ -14,12 +14,15 @@ from subpath_kernel.kernel import (
     KernelParams,
     _prefix_counts,
     gram_matrix,
+    lcp_intervals,
+    merge_forest,
     merge_trees,
+    merged_esa,
     subpath_kernel,
     subpath_kernel_oracle,
     weight_table,
 )
-from subpath_kernel.trees import LabelTable, parse_tree, random_tree
+from subpath_kernel.trees import LabelTable, parse_tree, path_tree, random_tree, star_tree
 
 
 def pairwise_weight_kernel(t1, t2, lam):
@@ -55,12 +58,12 @@ class TestParams:
 
 class TestWeightTable:
     def test_unit_decay_counts_lengths(self):
-        assert weight_table(5, 1.0) == [0, 1, 2, 3, 4, 5]
+        assert weight_table(5, 1.0).tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_half_decay(self):
         w = weight_table(3, 0.5)
         assert w[3] == pytest.approx(0.875, abs=0)
-        assert w == [0.0, 0.5, 0.75, 0.875]
+        assert w.tolist() == [0.0, 0.5, 0.75, 0.875]
 
     def test_matches_closed_form(self):
         lam = 0.9
@@ -73,6 +76,78 @@ class TestWeightTable:
         w = weight_table(30, 0.7)
         for n in range(1, 31):
             assert rel_close(w[n] - w[n - 1], 0.7**n, 1e-12)
+
+
+def brute_lcp_intervals(lcp):
+    """(depth, lb, rb, enclosing) of every maximal rank range, enumerated.
+
+    A range [lb, rb) of two or more ranks is an interval of depth d when
+    its smallest inner boundary is d > 0 and both boundaries just outside
+    it (0 past either end) are below d.  Sorted in closing order: by rb,
+    deeper first.
+    """
+    b = lcp[:-1].tolist()
+    n = len(lcp)
+    found = []
+    for lb in range(n):
+        for rb in range(lb + 2, n + 1):
+            d = min(b[lb:rb - 1])
+            left = b[lb - 1] if lb > 0 else 0
+            right = b[rb - 1] if rb < n else 0
+            if d > 0 and left < d and right < d:
+                found.append((d, lb, rb))
+    out = []
+    for d, lb, rb in found:
+        around = [e for e, lo, hi in found if lo <= lb and rb <= hi and e < d]
+        out.append((d, lb, rb, max(around, default=0)))
+    return sorted(out, key=lambda iv: (iv[2], -iv[0]))
+
+
+def lcp_of_forest(trees):
+    return merged_esa(merge_forest(trees)).lcp
+
+
+class TestLcpIntervals:
+    def check(self, lcp):
+        got = lcp_intervals(np.asarray(lcp, np.int64))
+        assert all(a.dtype == np.int64 for a in got)
+        assert list(zip(*(a.tolist() for a in got))) == brute_lcp_intervals(np.asarray(lcp))
+
+    def test_single_rank_and_empty(self):
+        self.check([-1])
+        self.check(np.empty(0, np.int64))
+
+    def test_random_forests(self):
+        rng = random.Random(11)
+        for i in range(60):
+            sig = rng.choice([1, 2, 3, 5])
+            trees = [random_tree(rng.randint(1, 12), sig, 100 * i + k) for k in range(rng.randint(1, 3))]
+            self.check(lcp_of_forest(trees))
+
+    @pytest.mark.parametrize("make", [
+        lambda n, rng: path_tree(n),
+        lambda n, rng: path_tree(n, [rng.randrange(2) for _ in range(n)]),
+        lambda n, rng: star_tree(n),
+        lambda n, rng: star_tree(n, [rng.randrange(2) for _ in range(n)]),
+        lambda n, rng: random_tree(n, 1, rng.randrange(1000)),
+    ], ids=["path-sigma1", "path-sigma2", "star", "star-sigma2", "random-sigma1"])
+    def test_degenerate_shapes(self, make):
+        rng = random.Random(12)
+        for n in (1, 2, 3, 8, 30):
+            self.check(lcp_of_forest([make(n, rng)]))
+            self.check(lcp_of_forest([make(n, rng), make(n // 2 + 1, rng)]))
+
+    def test_tied_suffixes(self):
+        # identical trees: every suffix ties with its copies at full length
+        t = random_tree(10, 2, 5)
+        for copies in (2, 3):
+            self.check(lcp_of_forest([t] * copies))
+
+    def test_arbitrary_arrays(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            b = [rng.randint(0, 4) for _ in range(rng.randint(0, 25))]
+            self.check(b + [-1])
 
 
 class TestMerge:
@@ -121,6 +196,34 @@ class TestFrozenValues:
             t1, t2 = parse_tree(a, table), parse_tree(b, table)
             assert rel_close(subpath_kernel(t1, t2, KernelParams(lam=lam)),
                              subpath_kernel_oracle(t1, t2, lam), 1e-12)
+
+
+class TestPinnedValues:
+    # float.hex values of the parent release's stack sweep: the interval
+    # sum must keep its order of float additions, which lam = 0.7 exposes
+    # (lam = 0.5 and 1e-200 round the same in any order on these inputs)
+    @staticmethod
+    def pairs():
+        rng = random.Random(8)
+        return {
+            "sigma3": (random_tree(300, 3, 11), random_tree(280, 3, 12)),
+            "sigma1": (random_tree(200, 1, 13), random_tree(250, 1, 14)),
+            "paths": (path_tree(150, [k % 2 for k in range(150)]),
+                      path_tree(170, [rng.randrange(2) for _ in range(170)])),
+            "star-random": (star_tree(100), random_tree(120, 2, 15)),
+        }
+
+    PINNED = {
+        "sigma3": ("0x1.0221f80000000p+14", "0x1.4d420d87e963bp-650", "0x1.8640f877b9f5bp+14"),
+        "sigma1": ("0x1.709bb18000000p+15", "0x1.2b010d3e1cf55p-649", "0x1.6e2500252dcdcp+16"),
+        "paths": ("0x1.0480600000000p+13", "0x1.30fbf3e850bcdp-651", "0x1.9e963f6fd21fep+13"),
+        "star-random": ("0x1.8920000000000p+11", "0x1.fb1c686126df9p-653", "0x1.2483333333333p+12"),
+    }
+
+    def test_values_bit_identical(self):
+        for name, (t1, t2) in self.pairs().items():
+            got = tuple(subpath_kernel(t1, t2, KernelParams(lam=lam)).hex() for lam in (0.5, 1e-200, 0.7))
+            assert got == self.PINNED[name], name
 
 
 class TestDifferential:

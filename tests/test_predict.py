@@ -299,6 +299,32 @@ class TestMatchingStatistics:
             assert fast.lengths == slow.lengths
             assert fast.locus == slow.locus
 
+    @pytest.mark.parametrize("sigma", [1, 2])
+    def test_long_edge_masters(self, sigma):
+        # Path support trees leave intervals with long edges, so matches
+        # compare master labels mid-edge: right after a descent, and right
+        # after a resume that lands mid-edge, where the cursor comes from
+        # the best child.
+        rng = random.Random(70 + sigma)
+        for i in range(25):
+            support = []
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randint(5, 60)
+                support.append(path_tree(k, [rng.randrange(sigma) for _ in range(k)]))
+            sv = SupportSet(trees=support, alphas=[rng.uniform(-2, 2) for _ in support],
+                            bias=0.25, params=KernelParams(lam=0.7))
+            idx = build_master_index(sv)
+            k = rng.randint(1, 90)
+            inputs = [path_tree(k, [rng.randrange(sigma) for _ in range(k)]),
+                      random_tree(rng.randint(1, 60), sigma, 7000 + i),
+                      caterpillar(rng.randint(5, 40), sigma, 7100 + i)]
+            for t in inputs:
+                fast = matching_statistics(idx, t)
+                slow = matching_statistics(idx, t, use_skips=False)
+                assert fast.lengths == naive_match_lengths(support, t)
+                assert fast.lengths == slow.lengths and fast.locus == slow.locus
+                assert rel_close(predict(idx, t), predict_direct(sv, t), 1e-9)
+
     @pytest.mark.parametrize("sigma, make_input, counters", [
         (2, lambda: random_tree(300, 2, 1301), (57, 973, 157, 180)),
         (5, lambda: caterpillar(200, 5, 1302), (232, 1258, 367, 396)),

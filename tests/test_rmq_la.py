@@ -7,7 +7,7 @@ import pytest
 
 from subpath_kernel.level_ancestor import LevelAncestorIndex
 from subpath_kernel.rmq import RmqIndex
-from subpath_kernel.trees import parse_tree, random_tree
+from subpath_kernel.trees import parse_tree, path_tree, random_tree, star_tree
 
 
 class TestRmq:
@@ -36,29 +36,6 @@ class TestRmq:
             y = rng.randrange(x, 4096)
             assert idx.query(x, y) == min(arr[x:y + 1])
 
-    def test_run_bounds_against_scan(self):
-        rng = random.Random(2)
-        arrays = [[7], [3, 3, 3, 3, 3]]
-        arrays += [[rng.randint(0, 4) for _ in range(rng.randint(1, 70))] for _ in range(30)]
-        for arr in arrays:
-            pos, floor = [], []
-            for p in range(len(arr)):
-                for f in range(min(arr) - 1, arr[p] + 1):
-                    pos.append(p)
-                    floor.append(f)
-            lo, hi = RmqIndex(arr).run_bounds(pos, floor)
-            for p, f, a, b in zip(pos, floor, lo.tolist(), hi.tolist()):
-                want_lo, want_hi = p, p
-                while want_lo > 0 and arr[want_lo - 1] >= f:
-                    want_lo -= 1
-                while want_hi < len(arr) - 1 and arr[want_hi + 1] >= f:
-                    want_hi += 1
-                assert (a, b) == (want_lo, want_hi)
-
-    def test_run_bounds_empty_batch(self):
-        lo, hi = RmqIndex([2, 1]).run_bounds([], [])
-        assert lo.size == 0 and hi.size == 0
-
     def test_range_errors(self):
         idx = RmqIndex([1, 2, 3])
         with pytest.raises(IndexError):
@@ -69,48 +46,30 @@ class TestRmq:
             idx.query(0, 3)
 
 
+def parent_walk(tree, v, j):
+    for _ in range(j):
+        v = int(tree.parent[v])
+    return v
+
+
 class TestLevelAncestor:
     def test_identity(self):
         t = random_tree(30, 3, 0)
         idx = LevelAncestorIndex(t.parent, t.depth)
-        for v in range(t.n):
-            assert idx.query(v, 0) == v
+        assert idx.query_batch(np.arange(t.n), np.zeros(t.n, np.int64)).tolist() == list(range(t.n))
 
     def test_chain(self):
         t = parse_tree("a(b(c))")
         idx = LevelAncestorIndex(t.parent, t.depth)
-        assert idx.query(2, 2) == 0
-        assert idx.query(2, 1) == 1
+        assert idx.query_batch([2, 2, 2, 1], [2, 1, 0, 1]).tolist() == [0, 1, 2, 0]
 
     def test_against_naive_walk(self):
         rng = random.Random(3)
-        for seed in range(5):
-            t = random_tree(400, 4, seed)
+        trees = [random_tree(400, 4, seed) for seed in range(5)]
+        trees += [path_tree(300), star_tree(50), parse_tree("a")]
+        for t in trees:
             idx = LevelAncestorIndex(t.parent, t.depth)
-            for _ in range(2000):
-                v = rng.randrange(t.n)
-                j = rng.randint(0, t.depth[v])
-                u = v
-                for _ in range(j):
-                    u = t.parent[u]
-                assert idx.query(v, j) == u
-
-    def test_batch_matches_scalar(self):
-        t = random_tree(600, 4, 9)
-        idx = LevelAncestorIndex(t.parent, t.depth)
-        rng = random.Random(4)
-        vs, js = [], []
-        for _ in range(500):
-            v = rng.randrange(t.n)
-            vs.append(v)
-            js.append(rng.randint(0, t.depth[v]))
-        out = idx.query_batch(np.array(vs), np.array(js))
-        assert [int(u) for u in out] == [idx.query(v, j) for v, j in zip(vs, js)]
-
-    def test_too_deep_rejected(self):
-        t = parse_tree("a(b)")
-        idx = LevelAncestorIndex(t.parent, t.depth)
-        with pytest.raises(IndexError):
-            idx.query(1, 2)
-        with pytest.raises(IndexError):
-            idx.query(0, 1)
+            vs = [rng.randrange(t.n) for _ in range(2000)]
+            js = [rng.randint(0, int(t.depth[v])) for v in vs]
+            out = idx.query_batch(np.array(vs), np.array(js))
+            assert out.tolist() == [parent_walk(t, v, j) for v, j in zip(vs, js)]

@@ -47,16 +47,17 @@ def test_traced_index_build_and_score(monkeypatch):
         with tracer.phase("round0"):
             # The input's leaf c under b reads c, b, a; in the master c, b
             # continues only as the leaf c, b, a, so the a is compared inside
-            # an interval edge: a master-side level-ancestor query.
+            # an interval edge, read through the match's master cursor: the
+            # library makes no scalar level-ancestor query.
             t = predict_module.parse_tree("a(c(a),b(c))", table)
             score = predict_module.predict(idx, t)
     assert spans.wrapped_targets() == []
     names = {rec[0] for rec in tracer.spans}
     assert {"trees.parse", "kernel.merge", "kernel.merged_esa", "esa.build",
             "level_ancestor.build", "predict.match"} <= names
-    assert tracer.la_queries > 0
+    assert tracer.la_queries == 0
     metrics = tracer.layer_metrics()
-    assert metrics["predict.match_ops"] > 0 and metrics["level_ancestor.queries"] > 0
+    assert metrics["predict.match_comparisons"] > 0 and metrics["level_ancestor.queries"] == 0
     assert rel_close(score, predict_direct(sv, t), 1e-12)
 
 
