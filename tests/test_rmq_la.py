@@ -73,3 +73,15 @@ class TestLevelAncestor:
             js = [rng.randint(0, int(t.depth[v])) for v in vs]
             out = idx.query_batch(np.array(vs), np.array(js))
             assert out.tolist() == [parent_walk(t, v, j) for v, j in zip(vs, js)]
+
+    def test_batch_matches_scalar(self):
+        t = random_tree(600, 4, 9)
+        idx = LevelAncestorIndex(t.parent, t.depth)
+        rng = random.Random(4)
+        vs, js = [], []
+        for _ in range(500):
+            v = rng.randrange(t.n)
+            vs.append(v)
+            js.append(rng.randint(0, int(t.depth[v])))
+        out = idx.query_batch(np.array(vs), np.array(js))
+        assert [int(u) for u in out] == [parent_walk(t, v, j) for v, j in zip(vs, js)]
