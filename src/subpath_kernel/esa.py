@@ -20,7 +20,8 @@ Two interchangeable builders produce byte-identical output:
   each rank-adjacent pair is then read off the stored rank levels by one
   descending jump pass, capped at the shorter suffix length.  A tree of
   height h needs at most ceil(log2(h + 1)) rounds of O(n) numpy work plus
-  one sort each, so the worst case (a single-label path) is O(n log h),
+  one sort each (keys spanning a small multiple of n are ranked by
+  counting instead), so the worst case (a single-label path) is O(n log h),
   not the O(n) the paper's construction guarantees; random trees stop
   after about 5 rounds.  The name is kept for callers that select it as
   ``"linear"``.
@@ -151,16 +152,35 @@ def build_esa_reference(tree) -> TreeSuffixArray:
 _MAX_NODES = 2**31 - 1
 
 
-def _dense_ranks(key: np.ndarray) -> tuple[np.ndarray, int]:
+# Keys spanning at most this many times their count are ranked by counting.
+_COUNT_SPAN = 4
+
+
+def _dense_ranks(key: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, int]:
     """Dense 1-based int32 ranks of ``key``, then the sentinel's rank 0.
 
-    Returns the ``key.size + 1`` ranks and the number of distinct keys.
+    ``lo`` and ``hi`` are Python ints bounding the keys.  A small span is
+    ranked by marking the present keys and counting them; a larger one
+    by sorting.  Returns the ``key.size + 1`` ranks and the number of
+    distinct keys.
     """
-    order = np.argsort(key)
-    sk = key[order]
-    dense = np.cumsum(np.concatenate(([True], sk[1:] != sk[:-1])), dtype=np.int32)
-    rank = np.zeros(key.size + 1, np.int32)
-    rank[order] = dense
+    # ``rank`` is allocated after the temporaries, whose freed memory it
+    # can reuse; allocated first, it made the later rounds slower.
+    if hi - lo <= _COUNT_SPAN * key.size:
+        if lo:
+            key = key - lo
+        present = np.zeros(hi - lo + 1, bool)
+        present[key] = True
+        dense = np.cumsum(present, dtype=np.int32)
+        rank = np.empty(key.size + 1, np.int32)
+        rank[:-1] = dense.take(key)
+    else:
+        order = np.argsort(key)
+        sk = key[order]
+        dense = np.cumsum(np.concatenate(([True], sk[1:] != sk[:-1])), dtype=np.int32)
+        rank = np.empty(key.size + 1, np.int32)
+        rank[order] = dense
+    rank[-1] = 0
     return rank, int(dense[-1])
 
 
@@ -185,16 +205,18 @@ def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
     anc[:n] = par
     anc[:n][par < 0] = n
     anc[n] = n
-    rank, distinct = _dense_ranks(lab)
+    rank, distinct = _dense_ranks(lab, int(lab.min()), int(lab.max()))
     ranks, ancs = [rank], [anc]
     # Rounds stop once the ranks are distinct, or once no node has a
     # step-th ancestor, i.e. step exceeds the greatest depth.
     step = 1
     max_depth = int(dep.max())
     while distinct < n and step <= max_depth:
-        key = np.multiply(rank[:n], n + 1, dtype=np.int64)
+        # Ranks are 1..distinct and the sentinel's is 0, so the pair
+        # (rank, ancestor's rank) packs into keys below (distinct + 1)^2.
+        key = np.multiply(rank[:n], distinct + 1, dtype=np.int64)
         key += rank[anc[:n]]
-        rank, distinct = _dense_ranks(key)
+        rank, distinct = _dense_ranks(key, 0, (distinct + 1) ** 2 - 1)
         anc = anc[anc]
         step *= 2
         ranks.append(rank)

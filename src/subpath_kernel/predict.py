@@ -81,7 +81,6 @@ class MasterIndex:
     bias: float
     weights: list[float]
     merged: MergedTree
-    sa: list[int]
     iv_depth: list[int]
     iv_lb: list[int]
     iv_rb: list[int]
@@ -203,7 +202,6 @@ def build_master_index(sv: SupportSet, *, builder: str = "linear") -> MasterInde
         bias=sv.bias,
         weights=weights,
         merged=merged,
-        sa=sa.tolist(),
         iv_depth=iv_depth,
         iv_lb=lb.tolist(),
         iv_rb=rb.tolist(),

@@ -223,16 +223,20 @@ _LABEL, _SPACE, _OPEN, _CLOSE, _COMMA = range(5)
 _ASCII_CLASS = np.array(
     [_SPACE if chr(c).isspace() else _LABEL for c in range(128)], np.int8)
 _ASCII_CLASS[[ord("("), ord(")"), ord(",")]] = [_OPEN, _CLOSE, _COMMA]
-# _FOLLOWS[a, b]: token kind b may come right after kind a within a text.
-# _SPACE never is a token, so its row stands for the start of a text.
+# _FOLLOWS[a * 5 + b]: token kind b may come right after kind a within a
+# text.  _SPACE never is a token, so its row stands for the start of a text.
 _FOLLOWS = np.zeros((5, 5), bool)
 _FOLLOWS[_SPACE, _LABEL] = True
 _FOLLOWS[_LABEL, [_OPEN, _CLOSE, _COMMA]] = True
 _FOLLOWS[_OPEN, _LABEL] = True
 _FOLLOWS[_CLOSE, [_CLOSE, _COMMA]] = True
 _FOLLOWS[_COMMA, _LABEL] = True
+_FOLLOWS = _FOLLOWS.ravel()
 _ENDS = np.zeros(5, bool)
 _ENDS[[_LABEL, _CLOSE]] = True
+# The bracket level's step at each token kind.
+_STEP = np.zeros(5, np.int32)
+_STEP[[_OPEN, _CLOSE]] = [1, -1]
 # Brackets and commas to spaces: ``str.split`` then yields the labels.
 _TO_SPACES = str.maketrans("(),", "   ")
 
@@ -240,9 +244,9 @@ _TO_SPACES = str.maketrans("(),", "   ")
 def _char_classes(text: str) -> np.ndarray:
     """The class of every character of ``text`` (whitespace as ``str.isspace``)."""
     if text.isascii():
-        return _ASCII_CLASS[np.frombuffer(text.encode("ascii"), np.uint8)]
+        return _ASCII_CLASS.take(np.frombuffer(text.encode("ascii"), np.uint8))
     cp = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
-    cls = _ASCII_CLASS[np.minimum(cp, 127)]
+    cls = _ASCII_CLASS.take(np.minimum(cp, 127))
     wide = np.unique(cp[cp > 127]).tolist()
     spaces = [c for c in wide if chr(c).isspace()]
     if spaces:
@@ -254,58 +258,80 @@ def _parse_texts(texts: Sequence[str], table: LabelTable) -> list[Tree] | None:
     """Parse many trees in one numpy pass; None if any text is malformed.
 
     The texts are joined with single spaces and tokenized at once: a token
-    is a maximal run of label characters or one bracket or comma.  A text
-    is well formed when it has a token, each token may follow the previous
-    one (``_FOLLOWS``, ``_ENDS``), the bracket level never drops below 0,
-    each comma sits at level 1 or deeper and the level is 0 at the text's
-    end.  Those rules leave one root per text: a label at level 0 after
-    the first token would have to follow a comma at level 0.  The level
-    at a label is its depth, and its parent is the last earlier label one
-    level up, found by one ``searchsorted`` over sorted (depth, id) keys.
-    Ids come out in preorder.  Labels are interned, in first-seen order, only
-    once every text has passed, so a malformed input changes nothing.
+    is a maximal run of label characters or one bracket or comma.  Each
+    text's first token is found by one ``searchsorted`` of the text starts.
+    A text is well formed when it has a token, each token may follow the
+    previous one (``_FOLLOWS``, ``_ENDS``), the bracket level never drops
+    below 0, each comma sits at level 1 or deeper and the level is 0 at
+    the text's end.  Those rules leave one root per text: a label at level
+    0 after the first token would have to follow a comma at level 0.  The
+    level is int32; a text deep enough to wrap it reads a negative level
+    and falls back to the scanner.
+
+    The level at a label is its depth.  Ordered by (depth, id), a label
+    right after '(' is a first child, whose parent is the label just
+    before it (id - 1), and one after ',' has the parent of the label
+    before it in that order, which is its previous sibling: every label
+    between two siblings lies in the first one's subtree, so it is deeper.
+    The first label of every depth but 0 follows a '(', so one running
+    maximum of the position of the last first child (or root) gives every
+    parent.  A root's "id - 1" is the last id of the text before it, which
+    is -1 once ids are made local to their text.  Ids come out in
+    preorder.  Labels are interned, in first-seen order, only once every
+    text has passed, so a malformed input changes nothing.
     """
     if not texts:
         return []
     joined = " ".join(texts)
-    starts = np.cumsum([0] + [len(t) + 1 for t in texts[:-1]])
     cls = _char_classes(joined)
     run = cls == _LABEL
     tok = cls > _SPACE
     tok[:1] |= run[:1]
     tok[1:] |= run[1:] & ~run[:-1]
     pos = np.flatnonzero(tok)
-    kind = cls[pos]
-    tid = np.searchsorted(starts, pos, side="right") - 1
-    first = np.ones(pos.size, bool)
-    first[1:] = tid[1:] != tid[:-1]
-    last = np.ones(pos.size, bool)
-    last[:-1] = first[1:]
-    prev = np.full(pos.size, _SPACE, np.int8)
+    if len(texts) == 1:
+        first = np.zeros(1, np.intp)
+    else:
+        starts = np.cumsum([0] + [len(t) + 1 for t in texts[:-1]])
+        first = np.searchsorted(pos, starts)
+    count = np.diff(first, append=pos.size)
+    if not count.all():
+        return None
+    last = first + count - 1
+    kind = cls.take(pos)
+    prev = np.empty(pos.size, np.int8)
+    prev[0] = _SPACE
     prev[1:] = kind[:-1]
     prev[first] = _SPACE
-    level = np.cumsum((kind == _OPEN).astype(np.int64) - (kind == _CLOSE))
+    level = np.cumsum(_STEP.take(kind), dtype=np.int32)
     if not (
-        np.count_nonzero(first) == len(texts)
-        and _FOLLOWS[prev, kind].all()
-        and _ENDS[kind[last]].all()
-        and (level >= 0).all()
-        and not level[last].any()
-        and (level[kind == _COMMA] > 0).all()
+        _FOLLOWS.take(prev * 5 + kind).all()
+        and _ENDS.take(kind.take(last)).all()
+        and not level.take(last).any()
+        and (level - (kind == _COMMA)).min() >= 0
     ):
         return None
 
-    is_node = kind == _LABEL
-    depth = level[is_node]
+    at_label = np.flatnonzero(kind == _LABEL)
+    depth = level.take(at_label).astype(np.int64)
     n = depth.size
-    # In (depth, id) order the lookups (depth - 1, id) come sorted too.
-    keys = np.sort(depth * (n + 1) + np.arange(n))
-    below = np.searchsorted(keys, keys - (n + 1)) - 1
+    # Sort (depth, id) keys packed into one int64; the low bits give the ids.
+    shift = max(n - 1, 1).bit_length()
+    keys = depth << shift
+    keys |= np.arange(n)
+    keys.sort()
+    ids = keys & ((1 << shift) - 1)
+    anchor = np.arange(n)
+    anchor *= prev.take(at_label).take(ids) != _COMMA
+    np.maximum.accumulate(anchor, out=anchor)
     parent = np.empty(n, np.int64)
-    parent[keys % (n + 1)] = np.where(keys > n, keys[below] % (n + 1), -1)
-    sizes = np.bincount(tid[is_node], minlength=len(texts))
-    offsets = np.cumsum(sizes) - sizes
-    parent = np.where(parent < 0, -1, parent - np.repeat(offsets, sizes))
+    parent[ids] = ids.take(anchor) - 1
+    if len(texts) == 1:
+        bounds = [0, n]
+    else:
+        offsets = np.searchsorted(at_label, first)
+        parent -= np.repeat(offsets, np.diff(offsets, append=n))
+        bounds = offsets.tolist() + [n]
 
     names = joined.translate(_TO_SPACES).split()
     ids_of = dict.fromkeys(names)
@@ -314,8 +340,7 @@ def _parse_texts(texts: Sequence[str], table: LabelTable) -> list[Tree] | None:
     labels = np.fromiter(map(ids_of.__getitem__, names), np.int64, n)
     for arr in (labels, parent, depth):
         arr.flags.writeable = False
-    ends = np.cumsum(sizes).tolist()
-    return [Tree(labels[a:b], parent[a:b], depth[a:b]) for a, b in zip([0] + ends, ends)]
+    return [Tree(labels[a:b], parent[a:b], depth[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def parse_tree(text: str, table: LabelTable | None = None) -> Tree:

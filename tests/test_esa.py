@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subpath_kernel.esa import build_esa_linear, build_esa_reference, naive_lcp, suffix
+from subpath_kernel.esa import _dense_ranks, build_esa_linear, build_esa_reference, naive_lcp, suffix
+from subpath_kernel.kernel import merge_forest
 from subpath_kernel.rmq import RmqIndex
 from subpath_kernel.trees import LabelTable, parse_tree, path_tree, random_tree, star_tree
 
@@ -171,15 +172,51 @@ class TestLinearInternals:
             build_esa_linear(huge)
 
     def test_forest_input(self):
-        """Builders accept multi-root forests (parent -1 per component)."""
-        t1 = random_tree(10, 2, 0)
-        t2 = random_tree(7, 2, 1)
+        """Builders accept multi-root forests (parent -1 per component), with
+        any int64 labels: negative ones, a span too wide to count ({0, 2^40})
+        and the int64 extremes, whose span overflows int64."""
+        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        relabels = [lambda lab: lab, lambda lab: lab - 7, lambda lab: lab << 40,
+                    lambda lab: np.where(lab > 0, hi, lo)]
+        shapes = [(random_tree(10, 2, 0), random_tree(7, 2, 1)),
+                  (path_tree(40), path_tree(25))]
+        for t1, t2 in shapes:
+            for relabel in relabels:
+                class Forest:
+                    labels = relabel(np.concatenate((t1.labels, t2.labels)))
+                    parent = np.concatenate((t1.parent, np.where(t2.parent < 0, -1, t2.parent + t1.n)))
+                    depth = np.concatenate((t1.depth, t2.depth))
 
-        class Forest:
-            labels = np.concatenate((t1.labels, t2.labels))
-            parent = np.concatenate((t1.parent, np.where(t2.parent < 0, -1, t2.parent + t1.n)))
-            depth = np.concatenate((t1.depth, t2.depth))
+                a = build_esa_reference(Forest)
+                b = build_esa_linear(Forest)
+                assert a == b
 
-        a = build_esa_reference(Forest)
-        b = build_esa_linear(Forest)
-        assert a == b
+    def test_dense_ranks_count_equals_sort(self):
+        # tight bounds take the counting branch; loose ones force the sort
+        rng = np.random.default_rng(4)
+        for size, span in [(1, 0), (50, 3), (1000, 40), (1000, 3999), (300, 10**6)]:
+            key = rng.integers(-5, span - 4, size, endpoint=True)
+            lo, hi = int(key.min()), int(key.max())
+            counted = _dense_ranks(key, lo, hi)
+            sorted_ = _dense_ranks(key, lo - 2**62, hi)
+            assert np.array_equal(counted[0], sorted_[0]) and counted[1] == sorted_[1]
+            assert counted[1] == np.unique(key).size
+
+    def test_round_counts_pinned(self):
+        # the stop rule alone fixes the round count; how keys are ranked must not move it
+        def rounds(t):
+            stats = {}
+            build_esa_linear(t, stats)
+            return stats["recursion_depth"]
+
+        def coin_path(seed):
+            rng = random.Random(seed)
+            return path_tree(1 << 14, [rng.randrange(2) for _ in range(1 << 14)])
+
+        assert rounds(path_tree(5000)) == 13
+        pairs = {5: (random_tree(1 << 14, 5, 0), random_tree(1 << 14, 5, 1)),
+                 1: (random_tree(1 << 14, 1, 0), random_tree(1 << 14, 1, 1)),
+                 "paths": (coin_path(0), coin_path(1)),
+                 "tied paths": (coin_path(2), coin_path(3))}
+        got = {k: rounds(merge_forest(list(pair))) for k, pair in pairs.items()}
+        assert got == {5: 5, 1: 5, "paths": 5, "tied paths": 14}

@@ -249,6 +249,7 @@ ERROR_CASES = [
     ("\u3000a(b)\u3000c", "trailing garbage after tree", 10),
     ("", "empty input", 0),
     ("   ", "empty input", 3),
+    ("\u3000", "empty input", 3),
     ("a(", "missing subtree", 2),
     ("日本(é,", "missing subtree", 10),
     ("a(b", "unbalanced brackets", 3),
@@ -265,6 +266,15 @@ def spaced_text(t: Tree, rng: random.Random) -> str:
         table.intern(name)
     tokens = re.findall(r"[^(),]+|[(),]", serialize_tree(t, table))
     return "".join(rng.choice(SPACES) + tok for tok in tokens) + rng.choice(SPACES)
+
+
+def comb_text(teeth: int, leaf_first: bool = True) -> str:
+    """A spine of ``teeth`` nodes, each with a leaf child besides its spine
+    child.  Leaf first, every spine node follows a comma; spine first,
+    every leaf follows a comma right after the spine's deeper subtree."""
+    if leaf_first:
+        return "a(b," * (teeth - 1) + "a(b)" + ")" * (teeth - 1)
+    return "a(" * (teeth - 1) + "a(b)" + ",b)" * (teeth - 1)
 
 
 def scanned(texts, table):
@@ -307,9 +317,39 @@ class TestVectorizedParse:
         else:
             assert _parse_texts([text], table) == [want]
 
+    @given(st.lists(st.text(alphabet="ab(), é\t", max_size=12), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_batch_is_none_exactly_when_a_text_fails_the_scanner(self, texts):
+        slow = LabelTable()
+        try:
+            want = scanned(texts, slow)
+        except TreeParseError:
+            want = None
+        fast = LabelTable()
+        got = _parse_texts(texts, fast)
+        if want is None:
+            assert got is None and len(fast) == 0
+        else:
+            assert got == want
+            assert fast._names == slow._names
+
+    @pytest.mark.parametrize("texts", [
+        [serialize_tree(star_tree(2001, [0] + [1] * 2000))],
+        [comb_text(500), "x", comb_text(300, leaf_first=False)],
+        [serialize_tree(path_tree(40_000, [i % 3 for i in range(40_000)]))],
+        ["a", "b(c)", *("abc"[i % 3] for i in range(3000)), "d(e,f)"],
+        [spaced_text(random_tree(300, 6, s), random.Random(s)) for s in range(20)],
+    ], ids=["star", "combs", "deep_path", "single_nodes", "mixed"])
+    def test_parent_fill_shapes(self, texts):
+        fast, slow = LabelTable(), LabelTable()
+        assert _parse_texts(texts, fast) == scanned(texts, slow)
+        assert fast._names == slow._names
+
     @pytest.mark.parametrize("text,message,offset", ERROR_CASES)
     def test_error_message_and_offset(self, text, message, offset):
-        assert _parse_texts(["a(b)", text, "c"], LabelTable()) is None
+        table = LabelTable()
+        assert _parse_texts(["a(b)", text, "c"], table) is None
+        assert len(table) == 0
         with pytest.raises(TreeParseError) as exc:
             parse_tree(text)
         assert (exc.value.message, exc.value.offset) == (message, offset)
