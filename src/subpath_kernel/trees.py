@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .esa import _dense_ranks
+
 _RESERVED = "(),"
 
 
@@ -241,17 +243,57 @@ _STEP[[_OPEN, _CLOSE]] = [1, -1]
 _TO_SPACES = str.maketrans("(),", "   ")
 
 
-def _char_classes(text: str) -> np.ndarray:
-    """The class of every character of ``text`` (whitespace as ``str.isspace``)."""
+def _char_classes(text: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """The class of every character of ``text`` (whitespace as ``str.isspace``),
+    and the character codes as uint8 when ``text`` is ASCII, else None."""
     if text.isascii():
-        return _ASCII_CLASS.take(np.frombuffer(text.encode("ascii"), np.uint8))
+        codes = np.frombuffer(text.encode("ascii"), np.uint8)
+        return _ASCII_CLASS.take(codes), codes
     cp = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
     cls = _ASCII_CLASS.take(np.minimum(cp, 127))
     wide = np.unique(cp[cp > 127]).tolist()
     spaces = [c for c in wide if chr(c).isspace()]
     if spaces:
         cls[np.isin(cp, spaces)] = _SPACE
-    return cls
+    return cls, None
+
+
+# Eight 7-bit characters and a 4-bit length fill 60 bits of an int64 key.
+_KEY_CHARS = 8
+
+
+def _intern_packed(joined: str, codes: np.ndarray, run: np.ndarray,
+                   start: np.ndarray, table: LabelTable) -> np.ndarray | None:
+    """Label ids of the ASCII label runs of ``joined`` that begin at ``start``;
+    None, with nothing interned, if a label is longer than ``_KEY_CHARS``.
+
+    Equal spellings get equal keys and different ones different keys, so
+    the dense ranks of the keys number the distinct spellings.  Each
+    spelling is interned once, in order of first occurrence, which is the
+    order ``dict.fromkeys`` of the names would give.
+    """
+    last = run.copy()
+    last[:-1] &= ~run[1:]
+    end = np.flatnonzero(last) + 1
+    length = end - start
+    longest = int(length.max())
+    if longest > _KEY_CHARS:
+        return None
+    key = codes.take(start).astype(np.int64) << 4
+    key |= length
+    for j in range(1, longest):
+        at = np.flatnonzero(length > j)
+        key[at] |= codes.take(start.take(at) + j).astype(np.int64) << (4 + 7 * j)
+    n = key.size
+    rank, distinct = _dense_ranks(key, int(key.min()), int(key.max()))
+    rank = rank[:n]
+    first = np.full(distinct + 1, n, np.int64)
+    np.minimum.at(first, rank, np.arange(n))
+    first = np.sort(first[1:])
+    lut = np.empty(distinct + 1, np.int64)
+    lut[rank.take(first)] = [table.intern(joined[a:b]) for a, b in
+                             zip(start.take(first).tolist(), end.take(first).tolist())]
+    return lut.take(rank)
 
 
 def _parse_texts(texts: Sequence[str], table: LabelTable) -> list[Tree] | None:
@@ -279,11 +321,21 @@ def _parse_texts(texts: Sequence[str], table: LabelTable) -> list[Tree] | None:
     is -1 once ids are made local to their text.  Ids come out in
     preorder.  Labels are interned, in first-seen order, only once every
     text has passed, so a malformed input changes nothing.
+
+    When the joined text is ASCII and no label is longer than 8
+    characters, each label packs into one int64 key (``_intern_packed``):
+    character j in bits 4 + 7j upward, zero-padded, and the length in the
+    low 4 bits, so ``"a"`` and ``"a\x00"`` differ.  The keys' dense ranks
+    (``esa._dense_ranks``: counted when their span is small, else sorted)
+    number the distinct spellings, one ``np.minimum.at`` finds where each
+    first occurs, and ``table.intern`` runs once per spelling in that
+    order.  Other batches (non-ASCII text, or a label longer than 8
+    characters) intern through ``dict.fromkeys`` of the split names.
     """
     if not texts:
         return []
     joined = " ".join(texts)
-    cls = _char_classes(joined)
+    cls, codes = _char_classes(joined)
     run = cls == _LABEL
     tok = cls > _SPACE
     tok[:1] |= run[:1]
@@ -333,11 +385,13 @@ def _parse_texts(texts: Sequence[str], table: LabelTable) -> list[Tree] | None:
         parent -= np.repeat(offsets, np.diff(offsets, append=n))
         bounds = offsets.tolist() + [n]
 
-    names = joined.translate(_TO_SPACES).split()
-    ids_of = dict.fromkeys(names)
-    for name in ids_of:
-        ids_of[name] = table.intern(name)
-    labels = np.fromiter(map(ids_of.__getitem__, names), np.int64, n)
+    labels = None if codes is None else _intern_packed(joined, codes, run, pos.take(at_label), table)
+    if labels is None:
+        names = joined.translate(_TO_SPACES).split()
+        ids_of = dict.fromkeys(names)
+        for name in ids_of:
+            ids_of[name] = table.intern(name)
+        labels = np.fromiter(map(ids_of.__getitem__, names), np.int64, n)
     for arr in (labels, parent, depth):
         arr.flags.writeable = False
     return [Tree(labels[a:b], parent[a:b], depth[a:b]) for a, b in zip(bounds, bounds[1:])]

@@ -238,9 +238,12 @@ def test_07_kernel_runtime_scales_linearly(capsys, kernel_report):
 def test_08_prediction_time_flat_in_support_set_count(capsys, predict_report):
     flat = predict_report.ratios["predict_flatness_vs_m"]
     direct = predict_report.slopes["direct_vs_m"]
+    points = predict_report.series["predict_vs_m"]
+    slowest = max(points, key=lambda p: p.seconds).size
+    fastest = min(points, key=lambda p: p.seconds).size
     ok = flat <= 1.5 and 0.8 <= direct <= 1.2
     line = report(capsys, ok, "indexed prediction time independent of support count",
-                  f"max/min over m is {flat:.2f} <= 1.5; "
+                  f"max/min over m is {flat:.2f} <= 1.5 (max at m={slowest}, min at m={fastest}); "
                   f"direct-sum slope {direct:.2f} in [0.8, 1.2]")
     assert ok, line
 

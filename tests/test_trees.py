@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subpath_kernel.trees import (
     LabelTable,
@@ -300,6 +300,27 @@ class TestVectorizedParse:
         assert _parse_texts(texts, fast) == scanned(texts, slow)
         assert fast._names == slow._names
 
+    @given(st.lists(st.text(alphabet="ab\x00\x7f~Z9_.", min_size=1, max_size=12),
+                    min_size=1, max_size=8, unique=True),
+           st.lists(st.tuples(st.integers(1, 40), st.integers(0, 2**32 - 1)), min_size=1, max_size=5),
+           st.randoms(use_true_random=False))
+    @example(["a", "a\x00"], [(30, 1)], random.Random(0))
+    @settings(max_examples=200, deadline=None)
+    def test_ascii_labels_intern_as_the_scanner(self, pool, shapes, rng):
+        # Labels of 1-12 ASCII characters, on both sides of the packed-key
+        # cut, interned into a table that already holds some of them.
+        spell = LabelTable()
+        for name in pool:
+            spell.intern(name)
+        texts = [serialize_tree(random_tree(n, len(pool), seed), spell) for n, seed in shapes]
+        known = rng.sample(pool, rng.randint(0, len(pool)))
+        fast, slow = LabelTable(), LabelTable()
+        for name in known:
+            fast.intern(name)
+            slow.intern(name)
+        assert _parse_texts(texts, fast) == scanned(texts, slow)
+        assert fast._names == slow._names
+
     def test_output_arrays_are_read_only(self):
         for t in (parse_tree("a(b,c)"), random_tree(5, 2, 0)):
             for arr in (t.labels, t.parent, t.depth):
@@ -339,7 +360,8 @@ class TestVectorizedParse:
         [serialize_tree(path_tree(40_000, [i % 3 for i in range(40_000)]))],
         ["a", "b(c)", *("abc"[i % 3] for i in range(3000)), "d(e,f)"],
         [spaced_text(random_tree(300, 6, s), random.Random(s)) for s in range(20)],
-    ], ids=["star", "combs", "deep_path", "single_nodes", "mixed"])
+        ["abcdefgh(abcdefghi,abcdefgh(a))", "abcdefghi"],
+    ], ids=["star", "combs", "deep_path", "single_nodes", "mixed", "key_cut"])
     def test_parent_fill_shapes(self, texts):
         fast, slow = LabelTable(), LabelTable()
         assert _parse_texts(texts, fast) == scanned(texts, slow)
@@ -348,8 +370,10 @@ class TestVectorizedParse:
     @pytest.mark.parametrize("text,message,offset", ERROR_CASES)
     def test_error_message_and_offset(self, text, message, offset):
         table = LabelTable()
+        for name in ("c", "x", "a"):
+            table.intern(name)
         assert _parse_texts(["a(b)", text, "c"], table) is None
-        assert len(table) == 0
+        assert table._names == ["c", "x", "a"]
         with pytest.raises(TreeParseError) as exc:
             parse_tree(text)
         assert (exc.value.message, exc.value.offset) == (message, offset)
