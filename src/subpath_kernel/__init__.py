@@ -12,7 +12,7 @@ from .trees import (
     serialize_tree,
     star_tree,
 )
-from .esa import TreeSuffixArray, build_esa_linear, build_esa_reference, naive_lcp, suffix
+from .esa import TreeSuffixArray, build_esa_linear, build_esa_reference
 from .kernel import (
     KernelParams,
     MergedTree,
@@ -49,8 +49,6 @@ __all__ = [
     "TreeSuffixArray",
     "build_esa_linear",
     "build_esa_reference",
-    "naive_lcp",
-    "suffix",
     "KernelParams",
     "MergedTree",
     "gram_matrix",

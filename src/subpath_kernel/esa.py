@@ -58,29 +58,6 @@ class TreeSuffixArray:
                    ((self.sa, other.sa), (self.lcp, other.lcp), (self.rsa, other.rsa)))
 
 
-def suffix(tree, v: int) -> list[int]:
-    """Labels from v up to its component root."""
-    out = []
-    parent = tree.parent
-    labels = tree.labels
-    while v != -1:
-        out.append(labels[v])
-        v = parent[v]
-    return out
-
-
-def naive_lcp(tree, u: int, v: int) -> int:
-    """Longest common prefix of two suffixes by direct label comparison."""
-    labels = tree.labels
-    parent = tree.parent
-    k = 0
-    while u != -1 and v != -1 and labels[u] == labels[v]:
-        k += 1
-        u = parent[u]
-        v = parent[v]
-    return k
-
-
 def _finish(sa, lcp) -> TreeSuffixArray:
     sa = np.asarray(sa, np.int64)
     rsa = np.empty_like(sa)

@@ -46,7 +46,9 @@ from .kernel import (
     weight_table,
 )
 from .level_ancestor import LevelAncestorIndex
-from .trees import LabelTable, Tree, TreeParseError, _parse_texts, parse_tree, serialize_tree
+# parse_tree is not called here, but perfbench/spans.py wraps
+# ``predict.parse_tree`` by name.
+from .trees import LabelTable, Tree, _parse_texts, parse_tree, serialize_tree  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -372,7 +374,8 @@ def load_model(path: str, table: LabelTable | None = None) -> SupportSet:
     """Read a ``save_model`` file; errors name the 1-based file line.
 
     The tree column is parsed in one pass over all rows, with one label
-    table for all of them (a fresh one when ``table`` is None).
+    table for all of them (a fresh one when ``table`` is None).  A bad file
+    raises for its first bad row and leaves ``table`` unchanged.
     """
     if table is None:
         table = LabelTable()
@@ -395,23 +398,21 @@ def load_model(path: str, table: LabelTable | None = None) -> SupportSet:
         bias = _model_float(k, ln.split(None, 1)[1], "bias")
         rest = rest[1:]
     cols = [ln.split("\t", 1) for _, ln in rest]
-    trees = None
-    if all(len(parts) == 2 for parts in cols):
-        try:
-            alphas = [_model_float(k, parts[0], "alpha") for (k, _), parts in zip(rest, cols)]
-        except ValueError:
-            pass
-        else:
-            trees = _parse_texts([parts[1] for parts in cols], table)
-    if trees is None:
-        # Some row is bad: read row by row, so the first bad line is named.
-        trees, alphas = [], []
+    # The first row whose columns are bad is named unless an earlier row's
+    # tree is: parse the trees before it into a throwaway table, so that a
+    # bad file leaves ``table`` unchanged either way.
+    alphas: list[float] = []
+    row_error = None
+    try:
         for (k, _), parts in zip(rest, cols):
             if len(parts) != 2:
                 raise ValueError(f"model line {k}: expected '<alpha>\\t<tree>'")
             alphas.append(_model_float(k, parts[0], "alpha"))
-            try:
-                trees.append(parse_tree(parts[1], table))
-            except TreeParseError as exc:
-                raise exc.located(f"model line {k}") from None
+    except ValueError as exc:
+        row_error = exc
+    trees = _parse_texts([parts[1] for parts in cols[:len(alphas)]],
+                         table if row_error is None else LabelTable(),
+                         lambda i: f"model line {rest[i][0]}")
+    if row_error is not None:
+        raise row_error
     return SupportSet(trees=trees, alphas=alphas, bias=bias, params=params)

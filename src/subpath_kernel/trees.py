@@ -1,5 +1,9 @@
 """Rooted labeled trees: bracket text format, random generation, structure checks.
 
+One numpy pass (``_parse_texts``) parses bracket text for ``parse_tree``,
+``parse_corpus`` and ``predict.load_model``; it also finds the first
+error of a malformed batch.
+
 Node ids are always 0..n-1 in preorder (root = 0, a parent precedes each of
 its descendants, every subtree occupies a contiguous id range).  The id order
 is load bearing: suffix-array tie-breaking relies on it, so
@@ -12,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -153,73 +157,6 @@ def _check_preorder(children: list[list[int]], n: int) -> None:
         raise ValueError("parent array is not connected")
 
 
-def _scan_tree(text: str, table: LabelTable) -> Tree:
-    """Character-at-a-time parse of one tree; raises on the first error.
-
-    The reference for ``_parse_texts``: it reports every grammar error
-    with its message and byte offset, and the tests compare the two.
-    """
-    labels: list[int] = []
-    parent: list[int] = []
-    stack: list[int] = []
-    pos = 0
-    end = len(text)
-
-    def byte_at(p: int) -> int:
-        return len(text[:p].encode("utf-8"))
-
-    def skip_ws(p: int) -> int:
-        while p < end and text[p].isspace():
-            p += 1
-        return p
-
-    expect_label = True
-    can_open = False
-    last = -1
-    while True:
-        pos = skip_ws(pos)
-        if pos == end:
-            break
-        c = text[pos]
-        if expect_label:
-            if c in _RESERVED:
-                raise TreeParseError("expected a label", byte_at(pos))
-            start = pos
-            while pos < end and text[pos] not in _RESERVED and not text[pos].isspace():
-                pos += 1
-            last = len(labels)
-            labels.append(table.intern(text[start:pos]))
-            parent.append(stack[-1] if stack else -1)
-            expect_label = False
-            can_open = True
-        elif c == "(":
-            if not can_open:
-                raise TreeParseError("'(' must follow a label", byte_at(pos))
-            stack.append(last)
-            pos += 1
-            expect_label = True
-        elif c == ",":
-            if not stack:
-                raise TreeParseError("comma outside brackets", byte_at(pos))
-            pos += 1
-            expect_label = True
-        elif c == ")":
-            if not stack:
-                raise TreeParseError("unmatched ')'", byte_at(pos))
-            stack.pop()
-            pos += 1
-            can_open = False
-        else:
-            raise TreeParseError("trailing garbage after tree", byte_at(pos))
-    if not labels:
-        raise TreeParseError("empty input", byte_at(pos))
-    if expect_label:
-        raise TreeParseError("missing subtree", byte_at(pos))
-    if stack:
-        raise TreeParseError("unbalanced brackets", byte_at(pos))
-    return Tree.from_parents(labels, parent)
-
-
 # Character classes of the vectorized parser; a token's kind is its class.
 _LABEL, _SPACE, _OPEN, _CLOSE, _COMMA = range(5)
 _ASCII_CLASS = np.array(
@@ -296,8 +233,9 @@ def _intern_packed(joined: str, codes: np.ndarray, run: np.ndarray,
     return lut.take(rank)
 
 
-def _parse_texts(texts: Sequence[str], table: LabelTable) -> list[Tree] | None:
-    """Parse many trees in one numpy pass; None if any text is malformed.
+def _parse_texts(texts: Sequence[str], table: LabelTable,
+                 where: Callable[[int], str] | None = None) -> list[Tree]:
+    """Parse many trees in one numpy pass; raise on the first malformed text.
 
     The texts are joined with single spaces and tokenized at once: a token
     is a maximal run of label characters or one bracket or comma.  Each
@@ -307,8 +245,14 @@ def _parse_texts(texts: Sequence[str], table: LabelTable) -> list[Tree] | None:
     below 0, each comma sits at level 1 or deeper and the level is 0 at
     the text's end.  Those rules leave one root per text: a label at level
     0 after the first token would have to follow a comma at level 0.  The
-    level is int32; a text deep enough to wrap it reads a negative level
-    and falls back to the scanner.
+    level's magnitude is at most the token count, so int32 holds it below
+    2**31 tokens; larger batches count it in int64.
+
+    When a rule fails anywhere, ``_first_error`` finds the first failure in
+    input order and this raises it as a ``TreeParseError`` with its byte
+    offset in its text, prefixed with ``where(i)`` for the i-th text when
+    ``where`` is given.  Nothing is interned before every text has passed,
+    so a malformed input leaves ``table`` unchanged.
 
     The level at a label is its depth.  Ordered by (depth, id), a label
     right after '(' is a first child, whose parent is the label just
@@ -319,8 +263,7 @@ def _parse_texts(texts: Sequence[str], table: LabelTable) -> list[Tree] | None:
     maximum of the position of the last first child (or root) gives every
     parent.  A root's "id - 1" is the last id of the text before it, which
     is -1 once ids are made local to their text.  Ids come out in
-    preorder.  Labels are interned, in first-seen order, only once every
-    text has passed, so a malformed input changes nothing.
+    preorder.  Labels are interned in first-seen order.
 
     When the joined text is ASCII and no label is longer than 8
     characters, each label packs into one int64 key (``_intern_packed``):
@@ -342,27 +285,30 @@ def _parse_texts(texts: Sequence[str], table: LabelTable) -> list[Tree] | None:
     tok[1:] |= run[1:] & ~run[:-1]
     pos = np.flatnonzero(tok)
     if len(texts) == 1:
-        first = np.zeros(1, np.intp)
+        starts = first = np.zeros(1, np.intp)
     else:
         starts = np.cumsum([0] + [len(t) + 1 for t in texts[:-1]])
         first = np.searchsorted(pos, starts)
     count = np.diff(first, append=pos.size)
-    if not count.all():
-        return None
     last = first + count - 1
     kind = cls.take(pos)
-    prev = np.empty(pos.size, np.int8)
+    # One slot more than there are tokens, so that an empty text's first
+    # token, pos.size when it is last, has a slot to write to.
+    prev = np.empty(pos.size + 1, np.int8)
     prev[0] = _SPACE
-    prev[1:] = kind[:-1]
+    prev[1:] = kind
     prev[first] = _SPACE
-    level = np.cumsum(_STEP.take(kind), dtype=np.int32)
+    prev = prev[:-1]
+    level = np.cumsum(_STEP.take(kind), dtype=np.int32 if pos.size < 2**31 else np.int64)
     if not (
-        _FOLLOWS.take(prev * 5 + kind).all()
+        count.all()
+        and _FOLLOWS.take(prev * 5 + kind).all()
         and _ENDS.take(kind.take(last)).all()
         and not level.take(last).any()
         and (level - (kind == _COMMA)).min() >= 0
     ):
-        return None
+        i, error = _first_error(texts, starts, pos, first, count, kind, prev, level)
+        raise error if where is None else error.located(where(i))
 
     at_label = np.flatnonzero(kind == _LABEL)
     depth = level.take(at_label).astype(np.int64)
@@ -397,6 +343,50 @@ def _parse_texts(texts: Sequence[str], table: LabelTable) -> list[Tree] | None:
     return [Tree(labels[a:b], parent[a:b], depth[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
+def _first_error(texts: Sequence[str], starts: np.ndarray, pos: np.ndarray,
+                 first: np.ndarray, count: np.ndarray, kind: np.ndarray,
+                 prev: np.ndarray, level: np.ndarray) -> tuple[int, TreeParseError]:
+    """The first grammar error of a batch that failed ``_parse_texts``'
+    checks, and the index of its text.
+
+    Within a text the first token that breaks a rule decides: a step that
+    ``_FOLLOWS`` forbids, else a comma below level 1 or a ')' below level
+    0.  A text whose tokens all pass fails at its end, at its byte length:
+    no token, a last token outside ``_ENDS``, or a nonzero level, checked
+    in that order.  The level is counted from the start of the batch, not
+    of the text; the two agree up to the end of the first bad text,
+    because every text before it passes and so ends at level 0.
+    """
+    step_bad = ~_FOLLOWS.take(prev * 5 + kind)
+    bad = np.flatnonzero(step_bad | (level < (kind == _COMMA)))
+    # A token belongs to the last text starting at or before it; a text
+    # without tokens starts where the next one does.
+    t = int(np.searchsorted(first, bad[0], "right")) - 1 if bad.size else len(texts)
+    count = count[:t]
+    # A text without tokens reads the padding or another text's last token
+    # here; its count flags it first.
+    last = first[:t] + count - 1
+    end_kind = np.append(kind, _SPACE).take(last)
+    end_bad = np.flatnonzero((count == 0) | ~_ENDS.take(end_kind)
+                             | (np.append(level, 0).take(last) != 0))
+    if end_bad.size:
+        i = int(end_bad[0])
+        message = ("empty input" if count[i] == 0 else
+                   "missing subtree" if not _ENDS[end_kind[i]] else
+                   "unbalanced brackets")
+        return i, TreeParseError(message, len(texts[i].encode("utf-8", "surrogatepass")))
+    j = int(bad[0])
+    k = kind[j]
+    if step_bad[j]:
+        message = ("trailing garbage after tree" if k == _LABEL else
+                   "'(' must follow a label" if k == _OPEN and prev[j] == _CLOSE else
+                   "expected a label")
+    else:
+        message = "comma outside brackets" if k == _COMMA else "unmatched ')'"
+    head = texts[t][:int(pos[j] - starts[t])]
+    return t, TreeParseError(message, len(head.encode("utf-8", "surrogatepass")))
+
+
 def parse_tree(text: str, table: LabelTable | None = None) -> Tree:
     """Parse one tree in the grammar ``tree := label ['(' tree (',' tree)* ')']``.
 
@@ -404,12 +394,9 @@ def parse_tree(text: str, table: LabelTable | None = None) -> Tree:
     whitespace.  Nodes are numbered in preorder.  Pass ``table`` to keep
     label ids consistent across multiple trees; a throwaway table is used
     otherwise.  Malformed text raises ``TreeParseError`` with the byte
-    offset of the first error.
+    offset of the first error and leaves ``table`` unchanged.
     """
-    if table is None:
-        table = LabelTable()
-    trees = _parse_texts([text], table)
-    return trees[0] if trees is not None else _scan_tree(text, table)
+    return _parse_texts([text], LabelTable() if table is None else table)[0]
 
 
 def serialize_tree(tree: Tree, table: LabelTable | None = None) -> str:
@@ -443,21 +430,13 @@ def serialize_tree(tree: Tree, table: LabelTable | None = None) -> str:
 def parse_corpus(lines: Iterable[str], table: LabelTable) -> list[Tree]:
     """One tree per non-blank line; lines starting with '#' are comments.
 
-    All lines are parsed in one pass.  Parse errors are re-raised with the
-    1-based line number of the first bad line prefixed.
+    All lines are parsed in one ``_parse_texts`` pass.  A malformed line
+    raises ``TreeParseError`` with the 1-based line number of the first
+    bad line prefixed, and leaves ``table`` unchanged.
     """
     rows = [(lineno, s) for lineno, s in enumerate((ln.strip() for ln in lines), start=1)
             if s and not s.startswith("#")]
-    trees = _parse_texts([s for _, s in rows], table)
-    if trees is not None:
-        return trees
-    trees = []
-    for lineno, text in rows:
-        try:
-            trees.append(_scan_tree(text, table))
-        except TreeParseError as exc:
-            raise exc.located(f"line {lineno}") from None
-    return trees
+    return _parse_texts([s for _, s in rows], table, lambda i: f"line {rows[i][0]}")
 
 
 def random_tree(n: int, sigma: int, seed: int) -> Tree:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 
-from subpath_kernel.esa import suffix
+from oracles import suffix
 from subpath_kernel.trees import Tree
 
 

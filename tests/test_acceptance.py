@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import RmqIndex, naive_lcp
 from subpath_kernel import (
     KernelParams,
     SupportSet,
@@ -23,7 +24,6 @@ from subpath_kernel import (
     build_master_index,
     gram_matrix,
     matching_statistics,
-    naive_lcp,
     path_tree,
     predict,
     predict_direct,
@@ -33,7 +33,6 @@ from subpath_kernel import (
     subpath_kernel_oracle,
 )
 from subpath_kernel.bench import bench_kernel, bench_predict
-from subpath_kernel.rmq import RmqIndex
 
 # Allowed constant for the matching-statistics work bound: measured worst
 # case across adversarial shape corpora is ~2.0, so 4.0 gives 2x headroom

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subpath_kernel.esa import _dense_ranks, build_esa_linear, build_esa_reference, naive_lcp, suffix
+from oracles import RmqIndex, naive_lcp, suffix
+from subpath_kernel.esa import _dense_ranks, build_esa_linear, build_esa_reference
 from subpath_kernel.kernel import merge_forest
-from subpath_kernel.rmq import RmqIndex
 from subpath_kernel.trees import LabelTable, parse_tree, path_tree, random_tree, star_tree
 
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import rel_close, shuffle_children
+from oracles import suffix
 from subpath_kernel import kernel as kernel_module
-from subpath_kernel.esa import suffix
 from subpath_kernel.kernel import (
     KernelParams,
     _prefix_counts,

@@ -2,11 +2,15 @@
 matching statistics, and equivalence with the direct kernel sum."""
 
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import naive_match_lengths, rel_close, shuffle_children
+from oracles import scan_tree
 from subpath_kernel.kernel import KernelParams, merged_esa, subpath_kernel
 from subpath_kernel.predict import (
     MasterIndex,
@@ -502,6 +506,8 @@ class TestModelFile:
         ("x\ta(b)\n1\tb(\n", ValueError, "model line 3: alpha is not a number: 'x'"),
         ("1\ta\nno-tab\n1\tb(\n", ValueError, "model line 4: expected"),
         ("1\ta\n\n1\tb((\nnan\tc\n", TreeParseError, "model line 5: expected a label (byte 2)"),
+        ("1\tb(\nno-tab\n", TreeParseError, "model line 3: missing subtree (byte 2)"),
+        ("1\ta\nx\tb(\n", ValueError, "model line 4: alpha is not a number: 'x'"),
     ])
     def test_first_of_two_bad_rows_is_named(self, tmp_path, rows, error, message):
         path = tmp_path / "model.txt"
@@ -509,6 +515,45 @@ class TestModelFile:
         with pytest.raises(error) as exc:
             load_model(str(path))
         assert str(exc.value).startswith(message)
+
+    @given(st.lists(st.tuples(st.sampled_from(["1", "1", "1", "x", None]),
+                              st.one_of(st.sampled_from(["a", "b(a)", "a(b,é)"]),
+                                        st.text(alphabet="ab(), é", max_size=8))),
+                    max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_first_bad_row_as_read_row_by_row(self, rows):
+        # The oracle reads row by row: columns, then alpha, then the tree.
+        lines = ["lambda 1"] + [text if alpha is None else f"{alpha}\t{text}" for alpha, text in rows]
+        want, trees = None, []
+        oracle_table = LabelTable()
+        oracle_table.intern("é")
+        for k, ln in enumerate(lines[1:], start=2):
+            parts = ln.strip().split("\t", 1)
+            if parts == [""]:
+                continue
+            if len(parts) != 2:
+                want = f"model line {k}: expected '<alpha>\\t<tree>'"
+            elif parts[0] != "1":
+                want = f"model line {k}: alpha is not a number: {parts[0]!r}"
+            else:
+                try:
+                    trees.append(scan_tree(parts[1], oracle_table))
+                    continue
+                except TreeParseError as exc:
+                    want = str(exc.located(f"model line {k}"))
+            break
+        table = LabelTable()
+        table.intern("é")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.txt"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            if want is None:
+                assert load_model(str(path), table).trees == trees
+            else:
+                with pytest.raises(ValueError) as exc:
+                    load_model(str(path), table)
+                assert str(exc.value) == want
+                assert table._names == ["é"]
 
     def test_rows_share_one_label_table(self, tmp_path):
         path = tmp_path / "model.txt"

@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from oracles import RmqIndex
 from subpath_kernel.level_ancestor import LevelAncestorIndex
-from subpath_kernel.rmq import RmqIndex
 from subpath_kernel.trees import parse_tree, path_tree, random_tree, star_tree
 
 

@@ -6,12 +6,13 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import scan_tree
+from subpath_kernel.predict import load_model
 from subpath_kernel.trees import (
     LabelTable,
     Tree,
     TreeParseError,
     _parse_texts,
-    _scan_tree,
     parse_corpus,
     parse_tree,
     path_tree,
@@ -253,6 +254,7 @@ ERROR_CASES = [
     ("a(", "missing subtree", 2),
     ("日本(é,", "missing subtree", 10),
     ("a(b", "unbalanced brackets", 3),
+    ("\ud800)", "unmatched ')'", 3),
 ]
 LABEL_POOL = ["a", "bc", "é", "日本", "x_1", "ñandú"]
 SPACES = ["", "", " ", "\t", "\n", "\u3000", "\xa0"]
@@ -277,8 +279,35 @@ def comb_text(teeth: int, leaf_first: bool = True) -> str:
     return "a(" * (teeth - 1) + "a(b)" + ",b)" * (teeth - 1)
 
 
-def scanned(texts, table):
-    return [_scan_tree(text, table) for text in texts]
+def scanned(texts, table, where=None):
+    """The oracle's trees, or its first error, located by ``where(i)``."""
+    trees = []
+    for i, text in enumerate(texts):
+        try:
+            trees.append(scan_tree(text, table))
+        except TreeParseError as exc:
+            raise (exc if where is None else exc.located(where(i))) from None
+    return trees
+
+
+def line_of(i):
+    return f"line {i + 1}"
+
+
+def assert_parses_as_scanner(texts):
+    """``_parse_texts`` returns the oracle's trees and interns as it does,
+    or raises the oracle's first error, located, and interns nothing."""
+    slow, fast = LabelTable(), LabelTable()
+    try:
+        want = scanned(texts, slow, line_of)
+    except TreeParseError as exc:
+        with pytest.raises(TreeParseError) as got:
+            _parse_texts(texts, fast, line_of)
+        assert (str(got.value), got.value.offset) == (str(exc), exc.offset)
+        assert len(fast) == 0
+    else:
+        assert _parse_texts(texts, fast, line_of) == want
+        assert fast._names == slow._names
 
 
 class TestVectorizedParse:
@@ -288,7 +317,7 @@ class TestVectorizedParse:
             t = random_tree(rng.randint(1, 120), len(LABEL_POOL), seed)
             text = spaced_text(t, rng)
             fast, slow = LabelTable(), LabelTable()
-            assert parse_tree(text, fast) == _scan_tree(text, slow)
+            assert parse_tree(text, fast) == scan_tree(text, slow)
             assert fast._names == slow._names
 
     def test_batch_equals_scanner_with_shared_table(self):
@@ -329,30 +358,12 @@ class TestVectorizedParse:
     @given(st.text(alphabet="ab(), é\t", max_size=12))
     @settings(max_examples=300, deadline=None)
     def test_accepts_exactly_what_the_scanner_accepts(self, text):
-        table = LabelTable()
-        try:
-            want = _scan_tree(text, LabelTable())
-        except TreeParseError:
-            assert _parse_texts([text], table) is None
-            assert len(table) == 0
-        else:
-            assert _parse_texts([text], table) == [want]
+        assert_parses_as_scanner([text])
 
     @given(st.lists(st.text(alphabet="ab(), é\t", max_size=12), min_size=1, max_size=6))
     @settings(max_examples=300, deadline=None)
-    def test_batch_is_none_exactly_when_a_text_fails_the_scanner(self, texts):
-        slow = LabelTable()
-        try:
-            want = scanned(texts, slow)
-        except TreeParseError:
-            want = None
-        fast = LabelTable()
-        got = _parse_texts(texts, fast)
-        if want is None:
-            assert got is None and len(fast) == 0
-        else:
-            assert got == want
-            assert fast._names == slow._names
+    def test_batch_raises_the_scanners_first_error(self, texts):
+        assert_parses_as_scanner(texts)
 
     @pytest.mark.parametrize("texts", [
         [serialize_tree(star_tree(2001, [0] + [1] * 2000))],
@@ -369,11 +380,12 @@ class TestVectorizedParse:
 
     @pytest.mark.parametrize("text,message,offset", ERROR_CASES)
     def test_error_message_and_offset(self, text, message, offset):
-        table = LabelTable()
-        for name in ("c", "x", "a"):
-            table.intern(name)
-        assert _parse_texts(["a(b)", text, "c"], table) is None
-        assert table._names == ["c", "x", "a"]
+        with pytest.raises(TreeParseError) as exc:
+            scan_tree(text, LabelTable())
+        assert (exc.value.message, exc.value.offset) == (message, offset)
+        with pytest.raises(TreeParseError) as exc:
+            _parse_texts(["a(b)", text, "c", "d("], LabelTable(), line_of)
+        assert str(exc.value) == f"line 2: {message} (byte {offset})"
         with pytest.raises(TreeParseError) as exc:
             parse_tree(text)
         assert (exc.value.message, exc.value.offset) == (message, offset)
@@ -382,6 +394,27 @@ class TestVectorizedParse:
             with pytest.raises(TreeParseError) as exc:
                 parse_corpus(["a(b)", "# note", text, "c"], LabelTable())
             assert str(exc.value) == f"line 3: {message} (byte {offset})"
+
+    @pytest.mark.parametrize("text", [text for text, _, _ in ERROR_CASES])
+    def test_failed_parse_leaves_the_table_unchanged(self, text, tmp_path):
+        table = LabelTable()
+        for name in ("c", "x", "a"):
+            table.intern(name)
+        with pytest.raises(TreeParseError):
+            parse_tree(text, table)
+        assert table._names == ["c", "x", "a"]
+        if text.strip():  # parse_corpus skips a blank line
+            with pytest.raises(TreeParseError):
+                parse_corpus(["a(b)", text, "d"], table)
+            assert table._names == ["c", "x", "a"]
+        if any("\ud800" <= c <= "\udfff" for c in text):
+            return  # a UTF-8 model file cannot hold a lone surrogate
+        path = tmp_path / "model.txt"
+        path.write_text(f"lambda 1\n1\ta(b)\n1\t{text}\n1\td\n", encoding="utf-8")
+        # Stripping can leave a row without its tree column: a ValueError.
+        with pytest.raises(ValueError):
+            load_model(str(path), table)
+        assert table._names == ["c", "x", "a"]
 
     def test_corpus_names_the_first_bad_line(self):
         with pytest.raises(TreeParseError) as exc:
