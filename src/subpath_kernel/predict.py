@@ -79,7 +79,6 @@ class MasterIndex:
     interval's edge, on the suffix at rank ``iv_lb`` (-1 for the root).
     """
 
-    lam: float
     bias: float
     weights: list[float]
     merged: MergedTree
@@ -200,7 +199,6 @@ def build_master_index(sv: SupportSet, *, builder: str = "linear") -> MasterInde
         iv_val[c] = iv_val[p] + (iv_wv[p] - iv_wv[c]) * weights[iv_depth[p]]
 
     return MasterIndex(
-        lam=sv.params.lam,
         bias=sv.bias,
         weights=weights,
         merged=merged,
@@ -343,11 +341,11 @@ def predict(idx: MasterIndex, t: Tree, *, use_skips: bool = True) -> float:
     return total
 
 
-def predict_direct(sv: SupportSet, t: Tree, *, builder: str = "linear") -> float:
+def predict_direct(sv: SupportSet, t: Tree) -> float:
     """Same score as an explicit sum of pairwise kernels (cross-check)."""
     total = sv.bias
     for tree, alpha in zip(sv.trees, sv.alphas):
-        total += alpha * subpath_kernel(tree, t, sv.params, builder=builder)
+        total += alpha * subpath_kernel(tree, t, sv.params)
     return total
 
 

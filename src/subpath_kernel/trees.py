@@ -8,14 +8,16 @@ Node ids are always 0..n-1 in preorder (root = 0, a parent precedes each of
 its descendants, every subtree occupies a contiguous id range).  The id order
 is load bearing: suffix-array tie-breaking relies on it, so
 ``Tree.from_parents`` validates it and the parser produces it by
-construction.
+construction.  Preorder also makes the arrays the whole tree: the ancestor
+at depth k of node v is the last node at or before v with depth k, so the
+serializer, the validator and the parser read structure off ``depth`` and
+``parent`` without building child lists.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -70,24 +72,23 @@ class LabelTable:
 
 @dataclass(frozen=True, eq=False)
 class Tree:
-    """Rooted labeled tree with preorder node ids.
+    """Rooted labeled tree: three read-only int64 arrays of length n in
+    preorder.
 
-    ``labels``, ``parent`` and ``depth`` are read-only int64 arrays of
-    length n, with ``parent[root] == -1``.  ``children`` is derived on
-    first use (lists in ascending id order, which is also the order the
-    serializer emits them in) and cached; the hot paths never need it.
+    Node 0 is the root, with ``parent[0] == -1`` and ``depth[0] == 0``.
+    In preorder the parent of node v is the last node before v one level
+    shallower, so the arrays fix the shape and the child order.
     Instances are immutable; ``==`` compares the arrays.
     """
 
     labels: np.ndarray
     parent: np.ndarray
     depth: np.ndarray
-    root: int = 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tree):
             return NotImplemented
-        return self.root == other.root and all(
+        return all(
             np.array_equal(a, b)
             for a, b in ((self.labels, other.labels), (self.parent, other.parent), (self.depth, other.depth))
         )
@@ -96,18 +97,6 @@ class Tree:
     def n(self) -> int:
         return int(self.labels.size)
 
-    @cached_property
-    def children(self) -> list[list[int]]:
-        children: list[list[int]] = [[] for _ in range(self.n)]
-        for v, p in enumerate(self.parent.tolist()):
-            if p >= 0:
-                children[p].append(v)
-        return children
-
-    @property
-    def leaf_count(self) -> int:
-        return sum(1 for ch in self.children if not ch)
-
     @property
     def height(self) -> int:
         """Number of nodes on the longest root-to-leaf path."""
@@ -115,7 +104,13 @@ class Tree:
 
     @staticmethod
     def from_parents(labels: Sequence[int], parent: Sequence[int]) -> "Tree":
-        """Build and validate a tree from a preorder parent array."""
+        """Build and validate a tree from a preorder parent array.
+
+        Every parent must be an earlier node on the root path of the node
+        just before its child: ``path[k]`` holds the depth-k node of that
+        path, and entries past its depth are stale, so a parent deeper
+        than it is rejected too.
+        """
         labels = _frozen(labels)
         parent = _frozen(parent)
         n = labels.size
@@ -125,14 +120,16 @@ class Tree:
             raise ValueError("labels and parent must have equal length")
         if parent[0] != -1:
             raise ValueError("node 0 must be the root (parent -1)")
-        children: list[list[int]] = [[] for _ in range(n)]
         depth = [0] * n
+        path = [0] * n
         for v, p in enumerate(parent.tolist()[1:], start=1):
             if not 0 <= p < v:
                 raise ValueError(f"node {v}: parent {p} is not an earlier node")
-            children[p].append(v)
-            depth[v] = depth[p] + 1
-        _check_preorder(children, n)
+            d = depth[p]
+            if d > depth[v - 1] or path[d] != p:
+                raise ValueError(f"node {v}: node ids are not in preorder")
+            depth[v] = d + 1
+            path[d + 1] = v
         return Tree(labels, parent, _frozen(depth))
 
 
@@ -141,20 +138,6 @@ def _frozen(values) -> np.ndarray:
     arr = np.array(values, np.int64)
     arr.flags.writeable = False
     return arr
-
-
-def _check_preorder(children: list[list[int]], n: int) -> None:
-    """Verify that a DFS in stored child order visits ids 0,1,2,..."""
-    visit = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        if v != visit:
-            raise ValueError("node ids are not in preorder")
-        visit += 1
-        stack.extend(reversed(children[v]))
-    if visit != n:
-        raise ValueError("parent array is not connected")
 
 
 # Character classes of the vectorized parser; a token's kind is its class.
@@ -284,11 +267,8 @@ def _parse_texts(texts: Sequence[str], table: LabelTable,
     tok[:1] |= run[:1]
     tok[1:] |= run[1:] & ~run[:-1]
     pos = np.flatnonzero(tok)
-    if len(texts) == 1:
-        starts = first = np.zeros(1, np.intp)
-    else:
-        starts = np.cumsum([0] + [len(t) + 1 for t in texts[:-1]])
-        first = np.searchsorted(pos, starts)
+    starts = np.cumsum([0] + [len(t) + 1 for t in texts[:-1]])
+    first = np.searchsorted(pos, starts)
     count = np.diff(first, append=pos.size)
     last = first + count - 1
     kind = cls.take(pos)
@@ -324,12 +304,9 @@ def _parse_texts(texts: Sequence[str], table: LabelTable,
     np.maximum.accumulate(anchor, out=anchor)
     parent = np.empty(n, np.int64)
     parent[ids] = ids.take(anchor) - 1
-    if len(texts) == 1:
-        bounds = [0, n]
-    else:
-        offsets = np.searchsorted(at_label, first)
-        parent -= np.repeat(offsets, np.diff(offsets, append=n))
-        bounds = offsets.tolist() + [n]
+    offsets = np.searchsorted(at_label, first)
+    parent -= np.repeat(offsets, np.diff(offsets, append=n))
+    bounds = offsets.tolist() + [n]
 
     labels = None if codes is None else _intern_packed(joined, codes, run, pos.take(at_label), table)
     if labels is None:
@@ -400,30 +377,21 @@ def parse_tree(text: str, table: LabelTable | None = None) -> Tree:
 
 
 def serialize_tree(tree: Tree, table: LabelTable | None = None) -> str:
-    """Bracket text for a tree, children in stored order; inverse of parse_tree.
+    """Bracket text for a tree, children in id order; inverse of parse_tree.
 
-    Without a table, labels are spelled as their decimal ids.
+    Without a table, labels are spelled as their decimal ids.  The text
+    follows from the depths alone: node v >= 1 is a first child when it
+    is deeper than node v - 1, and otherwise a later sibling once
+    ``depth[v-1] - depth[v]`` subtrees have closed.
     """
     spell = table.name if table is not None else str
     labels = tree.labels.tolist()
-    children = tree.children
-    parts: list[str] = []
-    stack: list[tuple[int, int]] = [(tree.root, 0)]
-    while stack:
-        v, i = stack.pop()
-        ch = children[v]
-        if i == 0:
-            parts.append(spell(labels[v]))
-            if ch:
-                parts.append("(")
-                stack.append((v, 1))
-                stack.append((ch[0], 0))
-        elif i < len(ch):
-            parts.append(",")
-            stack.append((v, i + 1))
-            stack.append((ch[i], 0))
-        else:
-            parts.append(")")
+    depth = tree.depth.tolist()
+    parts = [spell(labels[0])]
+    for before, d, label in zip(depth, depth[1:], labels[1:]):
+        parts.append("(" if d > before else ")" * (before - d) + ",")
+        parts.append(spell(label))
+    parts.append(")" * depth[-1])
     return "".join(parts)
 
 

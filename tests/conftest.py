@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 
-from oracles import suffix
+from oracles import children, suffix
 from subpath_kernel.trees import Tree
 
 
@@ -44,12 +44,13 @@ def shuffle_children(tree: Tree, seed: int) -> Tree:
     label multiset stay fixed.
     """
     rng = random.Random(seed)
+    kids_of = children(tree)
     order: list[int] = []
-    stack = [tree.root]
+    stack = [0]
     while stack:
         v = stack.pop()
         order.append(v)
-        kids = list(tree.children[v])
+        kids = kids_of[v]
         rng.shuffle(kids)
         stack.extend(reversed(kids))
     new_id = {old: new for new, old in enumerate(order)}

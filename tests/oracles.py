@@ -5,6 +5,8 @@
   offset of the first error).
 * ``suffix`` and ``naive_lcp``: node-to-root label strings and their
   longest common prefix by direct comparison.
+* ``children`` and ``leaf_count``: child lists rebuilt from the parent
+  array; the library reads structure off the preorder arrays instead.
 * ``RmqIndex``: range minima from a doubling sparse table.  The lcp of the
   suffixes at ranks x < y is the minimum of lcp[x..y-1]; the library finds
   lcp intervals with one stack pass instead (``kernel.lcp_intervals``).
@@ -83,6 +85,19 @@ def scan_tree(text: str, table: LabelTable) -> Tree:
     if stack:
         raise TreeParseError("unbalanced brackets", byte_at(pos))
     return Tree.from_parents(labels, parent)
+
+
+def children(tree) -> list[list[int]]:
+    """Each node's children in ascending id order."""
+    out: list[list[int]] = [[] for _ in range(tree.n)]
+    for v, p in enumerate(tree.parent.tolist()):
+        if p >= 0:
+            out[p].append(v)
+    return out
+
+
+def leaf_count(tree) -> int:
+    return sum(1 for kids in children(tree) if not kids)
 
 
 def suffix(tree, v: int) -> list[int]:

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import RmqIndex, naive_lcp
+from oracles import RmqIndex, children, leaf_count, naive_lcp
 from subpath_kernel import (
     KernelParams,
     SupportSet,
@@ -196,8 +196,7 @@ def test_05_match_lengths_drop_by_at_most_one_toward_parent(capsys, predict_corp
     for _, idx, inputs in predict_corpus:
         for t in inputs:
             lengths = matching_statistics(idx, t).lengths
-            for v in range(t.n):
-                kids = t.children[v]
+            for v, kids in enumerate(children(t)):
                 if kids and lengths[v] < max(lengths[c] for c in kids) - 1:
                     violations += 1
                 nodes += 1
@@ -247,6 +246,25 @@ def test_08_prediction_time_flat_in_support_set_count(capsys, predict_report):
     assert ok, line
 
 
+def test_08b_matching_work_flat_in_support_set_count(capsys):
+    # test_08's series without the clock: bench_predict's default support
+    # sets (m = 100..1000 trees of 30 nodes, sigma 5, seed 11) against its
+    # fixed input, each with an index of its own.
+    fixed = random_tree(200, 5, 10)
+    bound = 2 * fixed.n + (leaf_count(fixed) - 1) * fixed.height
+    trees = [random_tree(30, 5, 11 + k) for k in range(1000)]
+    work = []
+    for m in range(100, 1001, 100):
+        sv = SupportSet(trees=trees[:m], alphas=[1.0] * m, bias=0.0,
+                        params=KernelParams(lam=0.5))
+        work.append(matching_statistics(build_master_index(sv), fixed).work)
+    ok = max(work) <= WORK_ALLOWANCE * bound
+    line = report(capsys, ok, "matching work on the fixed input bounded at every support count",
+                  f"work {min(work)}-{max(work)} (max/min over m {max(work) / min(work):.2f}), "
+                  f"max work/bound {max(work) / bound:.2f} <= {WORK_ALLOWANCE}")
+    assert ok, line
+
+
 def test_09_prediction_time_linear_in_input_size(capsys, predict_report):
     slope = predict_report.slopes["predict_vs_n"]
     ok = slope <= 1.3
@@ -258,7 +276,7 @@ def test_09_prediction_time_linear_in_input_size(capsys, predict_report):
 def test_10_matching_work_bounded_by_size_and_shape(capsys, predict_corpus):
     def ratio(idx, t):
         stats = matching_statistics(idx, t)
-        return stats.work / (2 * t.n + (t.leaf_count - 1) * t.height)
+        return stats.work / (2 * t.n + (leaf_count(t) - 1) * t.height)
 
     worst = 0.0
     runs = 0

@@ -175,6 +175,13 @@ class TestGenCommand:
         assert main(["gen", "--n", "12", "--sigma", "3", "--seed", "5", "--count", "4"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_exact_text(self, capsys):
+        # Seeded benchmark inputs are the bytes ``gen`` writes: the
+        # generator and the serializer must keep both.
+        assert main(["gen", "--n", "12", "--sigma", "3", "--seed", "5", "--count", "2"]) == 0
+        assert capsys.readouterr().out == ("1(0(1(2(0(2,0)),0),2,0),1,1)\n"
+                                           "1(1(0,2,1),2,2(2(0),0,2),2)\n")
+
     def test_output_reparses_to_size(self, capsys):
         assert main(["gen", "--n", "40", "--sigma", "2", "--seed", "1"]) == 0
         line = capsys.readouterr().out.strip()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import naive_match_lengths, rel_close, shuffle_children
-from oracles import scan_tree
+from oracles import children, scan_tree
 from subpath_kernel.kernel import KernelParams, merged_esa, subpath_kernel
 from subpath_kernel.predict import (
     MasterIndex,
@@ -351,8 +351,8 @@ class TestMatchingStatistics:
             idx = build_master_index(sv)
             t = random_tree(rng.randint(2, 40), rng.choice([1, 3]), 70 + i)
             st = matching_statistics(idx, t)
-            for v in range(t.n):
-                for c in t.children[v]:
+            for v, kids in enumerate(children(t)):
+                for c in kids:
                     assert st.lengths[v] >= st.lengths[c] - 1
 
     def test_locus_invariant(self):

@@ -6,7 +6,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import scan_tree
+from oracles import children, leaf_count, scan_tree
 from subpath_kernel.predict import load_model
 from subpath_kernel.trees import (
     LabelTable,
@@ -50,7 +50,7 @@ class TestParse:
         assert t.depth.tolist() == [0, 1, 2, 1]
         b = table.intern("b")
         assert t.labels[1] == b and t.labels[3] == b
-        assert t.children[0] == [1, 3]
+        assert children(t)[0] == [1, 3]
 
     def test_shared_table_across_trees(self):
         table = LabelTable()
@@ -88,8 +88,7 @@ class TestParse:
         # children contiguous in DFS order
         for v in range(1, t.n):
             assert t.parent[v] < v
-        assert t.children[0] == [1, 4]
-        assert t.children[1] == [2, 3]
+        assert children(t)[:2] == [[1, 4], [2, 3]]
 
 
 class TestSerialize:
@@ -154,16 +153,45 @@ class TestLabelTable:
 class TestTreeValidation:
     def test_depth_recurrence_and_children(self):
         t = random_tree(200, 5, 3)
+        kids_of = children(t)
         for v in range(1, t.n):
             assert t.depth[v] == t.depth[t.parent[v]] + 1
-            assert v in t.children[t.parent[v]]
-        assert t.parent[t.root] == -1
+            assert v in kids_of[t.parent[v]]
+        assert t.parent[0] == -1
 
     def test_non_preorder_rejected(self):
         # parent ids must precede children in a DFS-contiguous layout;
         # [root, child-of-2 first] breaks subtree contiguity
         with pytest.raises(ValueError):
             Tree.from_parents([0, 0, 0, 0], [-1, 2, 0, 1])
+
+    @pytest.mark.parametrize("parent", [
+        [-1, 0, 0, 1],     # node 3 rejoins the closed subtree of node 1
+        [-1, 0, 1, 0, 2],  # node 4's parent is deeper than node 3
+    ])
+    def test_parent_off_the_previous_root_path_rejected(self, parent):
+        with pytest.raises(ValueError, match="not in preorder"):
+            Tree.from_parents([0] * len(parent), parent)
+
+    @given(st.lists(st.integers(0, 2**16), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_dfs_preorders(self, draws):
+        # Any earlier node as each parent; accepted iff a DFS over the
+        # child lists in id order visits 0, 1, 2, ...
+        parent = [-1] + [r % v for v, r in enumerate(draws, start=1)]
+        kids_of = [[] for _ in parent]
+        for v, p in enumerate(parent[1:], start=1):
+            kids_of[p].append(v)
+        order, stack = [], [0]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(reversed(kids_of[v]))
+        if order == list(range(len(parent))):
+            assert Tree.from_parents([0] * len(parent), parent).parent.tolist() == parent
+        else:
+            with pytest.raises(ValueError, match="not in preorder"):
+                Tree.from_parents([0] * len(parent), parent)
 
     def test_parent_after_child_rejected(self):
         with pytest.raises(ValueError):
@@ -175,7 +203,7 @@ class TestTreeValidation:
 
     def test_counts(self):
         t = parse_tree("a(b(c),b)")
-        assert t.leaf_count == 2
+        assert leaf_count(t) == 2
         assert t.height == 3
 
 
@@ -207,18 +235,18 @@ class TestGenerators:
         for seed in range(30):
             t = random_tree(100, 3, seed)
             assert all(t.parent[v] < v for v in range(1, t.n))
-            # subtree contiguity: children of any node come in increasing
-            # runs; verified by DFS re-simulation inside from_parents, so
+            # subtree contiguity: from_parents checks each parent against
+            # the root path of the node before its child, so
             # reconstructing must not raise
             Tree.from_parents(t.labels, t.parent)
 
     def test_path_and_star_shapes(self):
         p = path_tree(5)
         assert p.depth.tolist() == [0, 1, 2, 3, 4]
-        assert p.leaf_count == 1
+        assert leaf_count(p) == 1
         s = star_tree(5)
         assert s.depth.tolist() == [0, 1, 1, 1, 1]
-        assert s.leaf_count == 4
+        assert leaf_count(s) == 4
         p2 = path_tree(6, labels=3)
         assert p2.labels.tolist() == [3] * 6
         p3 = path_tree(6, [i % 3 for i in range(6)])
