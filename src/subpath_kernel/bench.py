@@ -14,7 +14,6 @@ identical inputs.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -24,6 +23,14 @@ import numpy as np
 from .kernel import KernelParams, subpath_kernel
 from .predict import SupportSet, build_master_index, predict, predict_direct
 from .trees import random_tree
+
+# The model both reports time: trees over SIGMA labels, decay LAM (the
+# acceptance gates' value), SV_N-node support trees, an INPUT_N-node input.
+SIGMA = 5
+LAM = 0.5
+SV_N = 30
+INPUT_N = 200
+MIN_BATCH_S = 0.01
 
 
 @dataclass(frozen=True)
@@ -63,11 +70,11 @@ def _batch(fn, iters: int) -> float:
     return time.perf_counter() - t0
 
 
-def measure(fns, *, reps: int = 5, min_time: float = 0.01) -> list[tuple[float, list[float], int]]:
+def measure(fns, *, reps: int = 5) -> list[tuple[float, list[float], int]]:
     """Per-call (median seconds, runs, inner iterations) for each callable.
 
     Each callable gets a discarded warm-up call and an inner iteration
-    count that makes one batch last at least ``min_time``.  Then ``reps``
+    count that makes one batch last at least ``MIN_BATCH_S``.  Then ``reps``
     rounds each time one batch of every callable, in forward order on even
     rounds and reverse order on odd ones.  A common speed factor per round
     passes through the median unchanged, so the ratio of two medians is
@@ -78,7 +85,7 @@ def measure(fns, *, reps: int = 5, min_time: float = 0.01) -> list[tuple[float, 
     for fn in fns:
         k = 1
         dt = _batch(fn, 1)
-        while dt < min_time:
+        while dt < MIN_BATCH_S:
             k *= 2
             dt = _batch(fn, k)
         iters.append(k)
@@ -108,29 +115,22 @@ def _check_fitted(name: str, sizes: list[int]) -> None:
         raise ValueError(f"{name}: a fitted series needs at least two distinct positive sizes, got {sizes}")
 
 
-def bench_kernel(
-    sizes: list[int] | None = None,
-    *,
-    sigma: int = 5,
-    lam: float = 0.5,
-    seed: int = 7,
-    reps: int = 5,
-) -> BenchReport:
+def bench_kernel(sizes: list[int] | None = None, *, seed: int = 7, reps: int = 5) -> BenchReport:
     """Time random-pair kernels with the linear and the reference builder."""
     if sizes is None:
         sizes = [1 << k for k in range(12, 18)]
     _check_reps(reps)
     _check_fitted("kernel sizes", sizes)
-    params = KernelParams(lam=lam)
+    params = KernelParams(lam=LAM)
     report = BenchReport(
         name="kernel-builders",
-        config={"sizes": sizes, "sigma": sigma, "lam": lam, "seed": seed, "reps": reps},
+        config={"sizes": sizes, "sigma": SIGMA, "lam": LAM, "seed": seed, "reps": reps},
         series={"linear": [], "reference": []},
     )
     configs, fns = [], []
     for i, n in enumerate(sizes):
-        t1 = random_tree(n, sigma, seed + 2 * i)
-        t2 = random_tree(n, sigma, seed + 2 * i + 1)
+        t1 = random_tree(n, SIGMA, seed + 2 * i)
+        t2 = random_tree(n, SIGMA, seed + 2 * i + 1)
         for builder in ("linear", "reference"):
             configs.append((builder, n))
             fns.append(partial(subpath_kernel, t1, t2, params, builder=builder))
@@ -146,30 +146,15 @@ def bench_kernel(
     return report
 
 
-def _support_set(m: int, sv_n: int, sigma: int, lam: float, seed: int) -> SupportSet:
-    trees = [random_tree(sv_n, sigma, seed + k) for k in range(m)]
-    return SupportSet(trees=trees, alphas=[1.0] * m, bias=0.0, params=KernelParams(lam=lam))
-
-
-def bench_predict(
-    m_values: list[int] | None = None,
-    input_sizes: list[int] | None = None,
-    *,
-    sv_n: int = 30,
-    input_n: int = 200,
-    m_fixed: int = 100,
-    sigma: int = 5,
-    lam: float = 0.5,
-    seed: int = 11,
-    reps: int = 5,
-) -> BenchReport:
+def bench_predict(m_values: list[int] | None = None, input_sizes: list[int] | None = None,
+                  *, seed: int = 11, reps: int = 5) -> BenchReport:
     """Prediction cost against support count m and against input size.
 
     Series: ``predict_vs_m`` and ``direct_vs_m`` at a fixed input tree, and
-    ``predict_vs_n`` at fixed m.  Derived figures: max/min ratio of predict
-    across m (flatness), slope of direct against m, slope of predict
-    against input size.  The direct path uses the default builder, the
-    faster one at these per-pair sizes too.
+    ``predict_vs_n`` against the index of the first m.  Derived figures:
+    max/min ratio of predict across m (flatness), slope of direct against
+    m, slope of predict against input size.  The direct path uses the
+    default builder, the faster one at these per-pair sizes too.
     """
     if m_values is None:
         m_values = list(range(100, 1001, 100))
@@ -183,36 +168,26 @@ def bench_predict(
         config={
             "m_values": m_values,
             "input_sizes": input_sizes,
-            "sv_n": sv_n,
-            "input_n": input_n,
-            "m_fixed": m_fixed,
-            "sigma": sigma,
-            "lam": lam,
+            "sv_n": SV_N,
+            "input_n": INPUT_N,
+            "m_fixed": m_values[0],
+            "sigma": SIGMA,
+            "lam": LAM,
             "seed": seed,
             "reps": reps,
         },
         series={"predict_vs_m": [], "direct_vs_m": [], "predict_vs_n": []},
     )
-    fixed_input = random_tree(input_n, sigma, seed - 1)
-    biggest = _support_set(max(m_values), sv_n, sigma, lam, seed)
-    indexed, direct = [], []
+    fixed_input = random_tree(INPUT_N, SIGMA, seed - 1)
+    params = KernelParams(lam=LAM)
+    trees = [random_tree(SV_N, SIGMA, seed + k) for k in range(max(m_values))]
+    indexes, indexed, direct = [], [], []
     for m in m_values:
-        sv = SupportSet(
-            trees=biggest.trees[:m],
-            alphas=biggest.alphas[:m],
-            bias=0.0,
-            params=biggest.params,
-        )
-        indexed.append(partial(predict, build_master_index(sv), fixed_input))
+        sv = SupportSet(trees=trees[:m], alphas=[1.0] * m, bias=0.0, params=params)
+        indexes.append(build_master_index(sv))
+        indexed.append(partial(predict, indexes[-1], fixed_input))
         direct.append(partial(predict_direct, sv, fixed_input))
-    sv = SupportSet(
-        trees=biggest.trees[:m_fixed],
-        alphas=biggest.alphas[:m_fixed],
-        bias=0.0,
-        params=biggest.params,
-    )
-    idx = build_master_index(sv)
-    by_n = [partial(predict, idx, random_tree(n, sigma, seed + 10_000 + k))
+    by_n = [partial(predict, indexes[0], random_tree(n, SIGMA, seed + 10_000 + k))
             for k, n in enumerate(input_sizes)]
     for name, sizes, fns in (("predict_vs_m", m_values, indexed),
                              ("direct_vs_m", m_values, direct),

@@ -5,18 +5,20 @@ matrix), ``esa-dump`` (suffix-array inspection), ``predict`` (score trees
 against a model file), ``gen`` (random tree corpora), ``bench-kernel`` and
 ``bench-predict`` (JSON scaling reports).  Trees travel in the bracket
 grammar, one per line; kernel values print with 17 significant digits.
-Exit status 0 on success, 2 on input errors (reported on stderr).
+Exit status 0 on success, 2 on bad input or flags (reported on stderr),
+1 when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bench import bench_kernel, bench_predict
 from .kernel import KernelParams, gram_matrix, subpath_kernel, subpath_kernel_oracle
 from .predict import build_master_index, load_model, predict
-from .trees import LabelTable, TreeParseError, parse_corpus, random_tree, serialize_tree
+from .trees import LabelTable, TreeParseError, _utf8_error_line, parse_corpus, random_tree, serialize_tree
 from .esa import select_builder
 
 
@@ -25,18 +27,26 @@ def _fmt(x: float) -> str:
 
 
 def _read_corpus(path: str, table: LabelTable):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_corpus(fh, table)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_corpus(fh, table)
+    except UnicodeDecodeError:
+        raise ValueError(f"{path} line {_utf8_error_line(path)}: not valid UTF-8") from None
+
+
+def _int_at_least(lo: int):
+    """argparse type for an int >= lo, so that a bad value names its flag."""
+    def parse(text: str) -> int:
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {text}")
+        return int(text)
+    parse.__name__ = "int"  # argparse reports a non-number as "invalid int value"
+    return parse
 
 
 def _add_lambda(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                    help="per-edge decay weight in (0, 1]")
-
-
-def _add_builder(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--builder", choices=("linear", "reference"), default="linear",
-                   help="suffix-array construction to use")
 
 
 def cmd_kernel(args) -> int:
@@ -50,7 +60,7 @@ def cmd_kernel(args) -> int:
         if args.oracle:
             value = subpath_kernel_oracle(t1, t2, params.lam)
         else:
-            value = subpath_kernel(t1, t2, params, builder=args.builder)
+            value = subpath_kernel(t1, t2, params)
         print(_fmt(value))
     return 0
 
@@ -108,8 +118,7 @@ def cmd_gen(args) -> int:
 
 def cmd_bench_kernel(args) -> int:
     sizes = [1 << k for k in range(args.min_pow, args.max_pow + 1)]
-    report = bench_kernel(sizes, sigma=args.sigma, lam=args.lam,
-                          seed=args.seed, reps=args.reps)
+    report = bench_kernel(sizes, seed=args.seed, reps=args.reps)
     print(report.to_json())
     return 0
 
@@ -117,10 +126,7 @@ def cmd_bench_kernel(args) -> int:
 def cmd_bench_predict(args) -> int:
     m_values = list(range(args.m_min, args.m_max + 1, args.m_step))
     input_sizes = [1 << k for k in range(args.n_min_pow, args.n_max_pow + 1)]
-    report = bench_predict(m_values, input_sizes, sv_n=args.sv_n,
-                           input_n=args.input_n, m_fixed=args.m_fixed,
-                           sigma=args.sigma, lam=args.lam,
-                           seed=args.seed, reps=args.reps)
+    report = bench_predict(m_values, input_sizes, seed=args.seed, reps=args.reps)
     print(report.to_json())
     return 0
 
@@ -132,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="kernel values for zipped tree pairs")
     _add_lambda(p)
-    _add_builder(p)
     p.add_argument("--oracle", action="store_true",
                    help="use the direct-enumeration evaluator")
     p.add_argument("file_a")
@@ -148,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gram)
 
     p = sub.add_parser("esa-dump", help="rank, node, lcp and suffix per line")
-    _add_builder(p)
+    p.add_argument("--builder", choices=("linear", "reference"), default="linear",
+                   help="suffix-array construction to use")
     p.add_argument("file")
     p.set_defaults(fn=cmd_esa_dump)
 
@@ -165,25 +171,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("bench-kernel", help="builder scaling report (JSON)")
-    _add_lambda(p)
-    p.add_argument("--min-pow", type=int, default=12)
-    p.add_argument("--max-pow", type=int, default=17)
-    p.add_argument("--sigma", type=int, default=5)
+    p.add_argument("--min-pow", type=_int_at_least(0), default=12)
+    p.add_argument("--max-pow", type=_int_at_least(0), default=17)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--reps", type=int, default=5)
     p.set_defaults(fn=cmd_bench_kernel)
 
     p = sub.add_parser("bench-predict", help="prediction scaling report (JSON)")
-    _add_lambda(p)
     p.add_argument("--m-min", type=int, default=100)
     p.add_argument("--m-max", type=int, default=1000)
-    p.add_argument("--m-step", type=int, default=100)
-    p.add_argument("--n-min-pow", type=int, default=10)
-    p.add_argument("--n-max-pow", type=int, default=14)
-    p.add_argument("--sv-n", type=int, default=30)
-    p.add_argument("--input-n", type=int, default=200)
-    p.add_argument("--m-fixed", type=int, default=100)
-    p.add_argument("--sigma", type=int, default=5)
+    p.add_argument("--m-step", type=_int_at_least(1), default=100)
+    p.add_argument("--n-min-pow", type=_int_at_least(0), default=10)
+    p.add_argument("--n-max-pow", type=_int_at_least(0), default=14)
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--reps", type=int, default=5)
     p.set_defaults(fn=cmd_bench_predict)
@@ -194,7 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the flush
+        # at interpreter exit stays quiet (see the Python docs on SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (TreeParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -48,7 +48,7 @@ from .kernel import (
 from .level_ancestor import LevelAncestorIndex
 # parse_tree is not called here, but perfbench/spans.py wraps
 # ``predict.parse_tree`` by name.
-from .trees import LabelTable, Tree, _parse_texts, parse_tree, serialize_tree  # noqa: F401
+from .trees import LabelTable, Tree, _parse_texts, _utf8_error_line, parse_tree, serialize_tree  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -138,9 +138,9 @@ def _intervals(lcp, hs):
             np.concatenate(([n], rb, single + 1)))
 
 
-def build_master_index(sv: SupportSet, *, builder: str = "linear") -> MasterIndex:
+def build_master_index(sv: SupportSet) -> MasterIndex:
     merged = merge_forest(sv.trees)
-    arr = merged_esa(merged, builder=builder)
+    arr = merged_esa(merged)
     sa = arr.sa
     lcp = arr.lcp
     n = sa.size
@@ -214,7 +214,7 @@ def build_master_index(sv: SupportSet, *, builder: str = "linear") -> MasterInde
     )
 
 
-def matching_statistics(idx: MasterIndex, t: Tree, *, use_skips: bool = True) -> MatchStats:
+def matching_statistics(idx: MasterIndex, t: Tree) -> MatchStats:
     """Match length and locus for every node of t against the master.
 
     Nodes are processed children-first (descending preorder id).  A parent
@@ -289,7 +289,7 @@ def matching_statistics(idx: MasterIndex, t: Tree, *, use_skips: bool = True) ->
         q = 0
         x = 0
         cx = -1
-        if use_skips and best[v] >= 0:
+        if best[v] >= 0:
             q0 = best_len[v] - 1
             if q0 > 0:
                 slinks += 1
@@ -329,9 +329,9 @@ def matching_statistics(idx: MasterIndex, t: Tree, *, use_skips: bool = True) ->
                       descents=descents, slinks=slinks, skips=skips)
 
 
-def predict(idx: MasterIndex, t: Tree, *, use_skips: bool = True) -> float:
+def predict(idx: MasterIndex, t: Tree) -> float:
     """Score bias + sum_i alpha_i K(T_i, t) in one matching sweep."""
-    stats = matching_statistics(idx, t, use_skips=use_skips)
+    stats = matching_statistics(idx, t)
     w = idx.weights
     val = idx.iv_val
     wv = idx.iv_wv
@@ -377,8 +377,11 @@ def load_model(path: str, table: LabelTable | None = None) -> SupportSet:
     """
     if table is None:
         table = LabelTable()
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [(k, ln.strip()) for k, ln in enumerate(fh, start=1)]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [(k, ln.strip()) for k, ln in enumerate(fh, start=1)]
+    except UnicodeDecodeError:
+        raise ValueError(f"model line {_utf8_error_line(path)}: not valid UTF-8") from None
     rows = [(k, ln) for k, ln in rows if ln and not ln.startswith("#")]
     if not rows or not rows[0][1].startswith("lambda "):
         where = f"model line {rows[0][0]}: " if rows else ""

@@ -407,6 +407,19 @@ def parse_corpus(lines: Iterable[str], table: LabelTable) -> list[Tree]:
     return _parse_texts([s for _, s in rows], table, lambda i: f"line {rows[i][0]}")
 
 
+def _utf8_error_line(path: str) -> int:
+    """Line of the file's first invalid UTF-8 byte, counted as text mode
+    counts lines (0 if none): called after a text read failed, not before."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    return 0
+
+
 def random_tree(n: int, sigma: int, seed: int) -> Tree:
     """Random recursive tree: node i attaches to a uniform earlier node.
 

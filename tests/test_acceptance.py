@@ -32,6 +32,7 @@ from subpath_kernel import (
     subpath_kernel,
     subpath_kernel_oracle,
 )
+from subpath_kernel import bench
 from subpath_kernel.bench import bench_kernel, bench_predict
 
 # Allowed constant for the matching-statistics work bound: measured worst
@@ -248,15 +249,15 @@ def test_08_prediction_time_flat_in_support_set_count(capsys, predict_report):
 
 def test_08b_matching_work_flat_in_support_set_count(capsys):
     # test_08's series without the clock: bench_predict's default support
-    # sets (m = 100..1000 trees of 30 nodes, sigma 5, seed 11) against its
-    # fixed input, each with an index of its own.
-    fixed = random_tree(200, 5, 10)
+    # sets (m = 100..1000 trees of SV_N nodes, seed 11) against its fixed
+    # input, each with an index of its own.
+    fixed = random_tree(bench.INPUT_N, bench.SIGMA, 10)
     bound = 2 * fixed.n + (leaf_count(fixed) - 1) * fixed.height
-    trees = [random_tree(30, 5, 11 + k) for k in range(1000)]
+    trees = [random_tree(bench.SV_N, bench.SIGMA, 11 + k) for k in range(1000)]
     work = []
     for m in range(100, 1001, 100):
         sv = SupportSet(trees=trees[:m], alphas=[1.0] * m, bias=0.0,
-                        params=KernelParams(lam=0.5))
+                        params=KernelParams(lam=bench.LAM))
         work.append(matching_statistics(build_master_index(sv), fixed).work)
     ok = max(work) <= WORK_ALLOWANCE * bound
     line = report(capsys, ok, "matching work on the fixed input bounded at every support count",

@@ -2,9 +2,14 @@
 consistency."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from subpath_kernel import bench
 from subpath_kernel.cli import main
 from subpath_kernel.kernel import KernelParams, subpath_kernel
 from subpath_kernel.predict import SupportSet, predict_direct, save_model
@@ -55,6 +60,29 @@ class TestKernelCommand:
     def test_bad_lambda_exit_2(self, tmp_path, capsys):
         a = write(tmp_path / "a.trees", "a\n")
         assert main(["kernel", "--lambda", "2", a, a]) == 2
+
+    @pytest.mark.parametrize("raw", [b"a(b)\nc\nd(\xff)\n", b"a(b)\r\nc\r\nd(\xff)\r\n",
+                                     b"a(b)\rc\rd(\xff)\r"], ids=["lf", "crlf", "cr"])
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, capsys, raw):
+        a = tmp_path / "a.trees"
+        a.write_bytes(raw)
+        assert main(["kernel", str(a), str(a)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {a} line 3: not valid UTF-8\n"
+
+    def test_closed_pipe_exits_1_quietly(self):
+        # A reader that stops early (``| head -c 100``) is not an error
+        # worth a message; the status still tells that output was cut.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cmd = [sys.executable, "-m", "subpath_kernel.cli", "gen", "--n", "2000", "--sigma", "3",
+               "--count", "50"]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1
+            assert proc.stderr.read() == b""
 
 
 class TestGramCommand:
@@ -193,6 +221,8 @@ class TestBenchCommands:
         assert main(["bench-kernel", "--min-pow", "6", "--max-pow", "8",
                      "--reps", "2", "--seed", "3"]) == 0
         report = json.loads(capsys.readouterr().out)
+        assert report["config"] == {"sizes": [64, 128, 256], "sigma": bench.SIGMA,
+                                    "lam": bench.LAM, "seed": 3, "reps": 2}
         assert [p["size"] for p in report["series"]["linear"]] == [64, 128, 256]
         assert [p["size"] for p in report["series"]["reference"]] == [64, 128, 256]
         assert "linear" in report["slopes"] and "reference" in report["slopes"]
@@ -200,9 +230,11 @@ class TestBenchCommands:
 
     def test_predict_report_shape(self, capsys):
         assert main(["bench-predict", "--m-min", "5", "--m-max", "15", "--m-step", "5",
-                     "--n-min-pow", "6", "--n-max-pow", "7", "--sv-n", "8",
-                     "--input-n", "30", "--m-fixed", "5", "--reps", "2"]) == 0
+                     "--n-min-pow", "6", "--n-max-pow", "7", "--reps", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
+        assert report["config"] == {"m_values": [5, 10, 15], "input_sizes": [64, 128],
+                                    "sv_n": bench.SV_N, "input_n": bench.INPUT_N, "m_fixed": 5,
+                                    "sigma": bench.SIGMA, "lam": bench.LAM, "seed": 11, "reps": 2}
         assert [p["size"] for p in report["series"]["predict_vs_m"]] == [5, 10, 15]
         assert [p["size"] for p in report["series"]["predict_vs_n"]] == [64, 128]
         assert "predict_flatness_vs_m" in report["ratios"]
@@ -227,11 +259,31 @@ class TestBenchCommands:
     def test_predict_degenerate_input_exit_2(self, capsys, extra):
         # a repeated option takes its last value, so ``extra`` overrides
         small = ["--m-min", "5", "--m-max", "10", "--m-step", "5", "--n-min-pow", "6",
-                 "--n-max-pow", "7", "--sv-n", "8", "--input-n", "30", "--m-fixed", "5",
-                 "--reps", "2"]
+                 "--n-max-pow", "7", "--reps", "2"]
         assert main(["bench-predict", *small, *extra]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("bench-kernel", "--min-pow", "-3"),
+        ("bench-kernel", "--max-pow", "-1"),
+        ("bench-predict", "--n-min-pow", "-1"),
+        ("bench-predict", "--n-max-pow", "-2"),
+        ("bench-predict", "--m-step", "0"),
+    ])
+    def test_out_of_range_flag_named(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be at least" in captured.err
+
+    def test_m_fixed_is_the_first_support_count(self):
+        # predict_vs_n scores against the index of the first m, so the
+        # report names that count
+        report = bench.bench_predict([5, 10], [64, 128], reps=1)
+        assert report.config["m_fixed"] == 5
 
     def test_rerun_reports_same_sizes(self, capsys):
         args = ["bench-kernel", "--min-pow", "6", "--max-pow", "7", "--reps", "2"]

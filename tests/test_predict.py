@@ -68,6 +68,32 @@ def interval_string(idx: MasterIndex, sa: np.ndarray, c: int) -> list[int]:
     return out
 
 
+def check_locus(idx: MasterIndex, t: Tree, st) -> None:
+    """Each locus is the one interval whose edge holds the match's end.
+
+    For a match of length q > 0 the locus x must satisfy depth(parent(x))
+    < q <= depth(x) and spell the first q labels of the node's suffix;
+    given the length, that fixes x.  A node that matches nothing has the
+    root as its locus.
+    """
+    def spell(labels, parent, v, q):
+        out = []
+        while v != -1 and len(out) < q:
+            out.append(labels[v])
+            v = parent[v]
+        return out
+
+    sa = merged_esa(idx.merged).sa.tolist()
+    master = idx.merged.labels.tolist(), idx.merged.parent.tolist()
+    tree = t.labels.tolist(), t.parent.tolist()
+    for v, (x, q) in enumerate(zip(st.locus, st.lengths)):
+        if q == 0:
+            assert x == 0
+        else:
+            assert idx.iv_depth[idx.iv_parent[x]] < q <= idx.iv_depth[x]
+            assert spell(*master, sa[idx.iv_lb[x]], q) == spell(*tree, v, q)
+
+
 def check_interval_structure(idx: MasterIndex) -> None:
     """The index intervals are exactly the lcp intervals, parents nested.
 
@@ -221,15 +247,6 @@ class TestIndexStructure:
             want = idx.iv_val[p] + (idx.iv_wv[p] - idx.iv_wv[c]) * w[idx.iv_depth[p]]
             assert rel_close(idx.iv_val[c], want, 1e-12)
 
-    def test_builders_build_identical_index(self):
-        sv = make_sv(5, 30, 2, 13)
-        a = build_master_index(sv, builder="linear")
-        b = build_master_index(sv, builder="reference")
-        assert merged_esa(a.merged) == merged_esa(b.merged, builder="reference")
-        assert a.iv_depth == b.iv_depth
-        assert a.iv_lb == b.iv_lb and a.iv_rb == b.iv_rb
-        assert a.iv_slink == b.iv_slink
-
 
 class TestSuffixLinks:
     def test_depth_drops_by_one_and_string_is_shifted(self):
@@ -267,24 +284,20 @@ class TestMatchingStatistics:
         assert st.locus == [0, 0, 0]
 
     def test_against_naive_oracle(self):
+        cases = []
         for i in range(60):
             rng = random.Random(400 + i)
             sv = make_sv(rng.randint(1, 8), 25, rng.choice([1, 2, 5]), 500 + i)
-            idx = build_master_index(sv)
-            t = random_tree(rng.randint(1, 30), rng.choice([1, 2, 5]), 900 + i)
-            st = matching_statistics(idx, t)
-            assert st.lengths == naive_match_lengths(sv.trees, t)
-
-    def test_no_skip_fallback_agrees(self):
+            cases.append((sv, random_tree(rng.randint(1, 30), rng.choice([1, 2, 5]), 900 + i)))
         for i in range(40):
             rng = random.Random(600 + i)
             sv = make_sv(rng.randint(1, 8), 25, 2, 700 + i)
+            cases.append((sv, random_tree(rng.randint(1, 30), 2, 800 + i)))
+        for sv, t in cases:
             idx = build_master_index(sv)
-            t = random_tree(rng.randint(1, 30), 2, 800 + i)
-            fast = matching_statistics(idx, t)
-            slow = matching_statistics(idx, t, use_skips=False)
-            assert fast.lengths == slow.lengths
-            assert fast.locus == slow.locus
+            st = matching_statistics(idx, t)
+            assert st.lengths == naive_match_lengths(sv.trees, t)
+            check_locus(idx, t, st)
 
     def test_root_path_inputs_against_naive_oracle(self):
         # inputs deeper than the support, and inputs whose descending ids
@@ -300,11 +313,9 @@ class TestMatchingStatistics:
             sv = SupportSet(trees=support, alphas=[1.0] * len(support), bias=0.0,
                             params=KernelParams(lam=0.5))
             idx = build_master_index(sv)
-            fast = matching_statistics(idx, t)
-            slow = matching_statistics(idx, t, use_skips=False)
-            assert fast.lengths == naive_match_lengths(support, t)
-            assert fast.lengths == slow.lengths
-            assert fast.locus == slow.locus
+            st = matching_statistics(idx, t)
+            assert st.lengths == naive_match_lengths(support, t)
+            check_locus(idx, t, st)
 
     @pytest.mark.parametrize("sigma", [1, 2])
     def test_long_edge_masters(self, sigma):
@@ -326,10 +337,9 @@ class TestMatchingStatistics:
                       random_tree(rng.randint(1, 60), sigma, 7000 + i),
                       caterpillar(rng.randint(5, 40), sigma, 7100 + i)]
             for t in inputs:
-                fast = matching_statistics(idx, t)
-                slow = matching_statistics(idx, t, use_skips=False)
-                assert fast.lengths == naive_match_lengths(support, t)
-                assert fast.lengths == slow.lengths and fast.locus == slow.locus
+                st = matching_statistics(idx, t)
+                assert st.lengths == naive_match_lengths(support, t)
+                check_locus(idx, t, st)
                 assert rel_close(predict(idx, t), predict_direct(sv, t), 1e-9)
 
     @pytest.mark.parametrize("sigma, make_input, counters", [
@@ -360,14 +370,7 @@ class TestMatchingStatistics:
             sv = make_sv(4, 20, 2, 90 + i)
             idx = build_master_index(sv)
             t = random_tree(25, 2, 95 + i)
-            st = matching_statistics(idx, t)
-            for v in range(t.n):
-                x, q = st.locus[v], st.lengths[v]
-                if q == 0:
-                    assert x == 0
-                else:
-                    assert q <= idx.iv_depth[x]
-                    assert idx.iv_depth[idx.iv_parent[x]] < q
+            check_locus(idx, t, matching_statistics(idx, t))
 
     def test_pure_read_repeatable(self):
         sv = make_sv(5, 20, 2, 33)
@@ -406,12 +409,6 @@ class TestPredict:
             f2 = predict_direct(sv, t)
             assert rel_close(f1, f2, 1e-9)
 
-    def test_no_skip_path_same_value(self):
-        sv = make_sv(6, 30, 2, 55, signed=True)
-        idx = build_master_index(sv)
-        t = random_tree(30, 2, 66)
-        assert predict(idx, t) == predict(idx, t, use_skips=False)
-
     def test_cancelling_duplicate_trees_score_bias(self):
         # alphas 1 and -1 are exact, so every interval's alpha mass is an
         # exact 0 and the score must be exactly the bias
@@ -424,7 +421,6 @@ class TestPredict:
             idx = build_master_index(sv)
             for u in (t, random_tree(rng.randint(1, 40), sigma, 8200 + seed)):
                 assert predict(idx, u) == 0.375
-                assert predict(idx, u, use_skips=False) == 0.375
 
     def test_shaped_inputs(self):
         sv = SupportSet(trees=[path_tree(50), star_tree(40)], alphas=[1.0, -1.5],
@@ -500,6 +496,14 @@ class TestModelFile:
             with pytest.raises(error) as exc:
                 load_model(str(path))
             assert str(exc.value).startswith(message)
+
+    def test_invalid_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_bytes(b"lambda 0.5\nbias 0\n1\ta\n1\tb(\xff)\n")
+        table = LabelTable()
+        with pytest.raises(ValueError, match="^model line 4: not valid UTF-8$"):
+            load_model(str(path), table)
+        assert len(table) == 0
 
     @pytest.mark.parametrize("rows,error,message", [
         ("1\ta(b\nx\tb\n", TreeParseError, "model line 3: unbalanced brackets (byte 3)"),
