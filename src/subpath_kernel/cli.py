@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="nodes per tree")
     p.add_argument("--sigma", type=int, required=True, help="alphabet size")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_int_at_least(0), default=1)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("bench-kernel", help="builder scaling report (JSON)")

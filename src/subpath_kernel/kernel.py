@@ -190,20 +190,11 @@ def subpath_kernel_oracle(t1: Tree, t2: Tree, lam: float) -> float:
     return total
 
 
-_POOL_TREES: list[Tree] = []
-_POOL_PARAMS: KernelParams | None = None
-
-
-def _pool_init(trees: list[Tree], params: KernelParams) -> None:
-    global _POOL_TREES, _POOL_PARAMS
-    _POOL_TREES = trees
-    _POOL_PARAMS = params
-
-
-def _pool_entry(ij: tuple[int, int]) -> tuple[int, int, float]:
-    i, j = ij
-    value = subpath_kernel(_POOL_TREES[i], _POOL_TREES[j], _POOL_PARAMS)
-    return i, j, value
+def _kernels(trees: list[Tree], params: KernelParams, rows: np.ndarray,
+             cols: np.ndarray) -> list[float]:
+    """K(trees[i], trees[j]) for each (i, j) in zip(rows, cols), in order."""
+    pairs = zip(rows.tolist(), cols.tolist())
+    return [subpath_kernel(trees[i], trees[j], params) for i, j in pairs]
 
 
 def gram_matrix(
@@ -215,28 +206,28 @@ def gram_matrix(
 ) -> list[list[float]]:
     """Symmetric kernel matrix; optionally cosine-normalized.
 
-    ``jobs > 1`` fans the lower-triangle entries out to worker processes,
-    at most one per CPU; ``jobs < 1`` raises.
+    The lower-triangle entries are computed row by row.  ``jobs > 1``
+    splits them into one contiguous share per worker process, at most one
+    per CPU and per entry; ``jobs < 1`` raises.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    workers = min(jobs, os.cpu_count() or 1)
     n = len(trees)
-    gram = [[0.0] * n for _ in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1)]
-    if workers > 1 and len(pairs) > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(trees, params)
-        ) as pool:
-            for i, j, value in pool.map(_pool_entry, pairs, chunksize=8):
-                gram[i][j] = gram[j][i] = value
+    rows, cols = np.tril_indices(n)
+    workers = min(jobs, os.cpu_count() or 1, rows.size)
+    if workers > 1:
+        cut = [k * rows.size // workers for k in range(workers + 1)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            shares = [pool.submit(_kernels, trees, params, rows[a:b], cols[a:b])
+                      for a, b in zip(cut, cut[1:])]
+            values = [v for share in shares for v in share.result()]
     else:
-        for i, j in pairs:
-            value = subpath_kernel(trees[i], trees[j], params)
-            gram[i][j] = gram[j][i] = value
+        values = _kernels(trees, params, rows, cols)
+    g = np.zeros((n, n))
+    g[rows, cols] = values
+    g[cols, rows] = values
     if normalize:
-        g = np.array(gram, np.float64).reshape(n, n)
         diag = g.diagonal()
         d = np.sqrt(np.outer(diag, diag))
-        gram = np.divide(g, d, out=np.zeros_like(g), where=d > 0).tolist()
-    return gram
+        g = np.divide(g, d, out=np.zeros_like(g), where=d > 0)
+    return g.tolist()

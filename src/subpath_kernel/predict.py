@@ -72,7 +72,8 @@ class MasterIndex:
     """Annotated lcp-interval tree over the merged support forest.
 
     Interval id 0 is the root (empty string, full rank range), and ids are
-    a preorder.  Parallel arrays index intervals; ``iv_rb`` is exclusive.
+    in (depth, lb) order, so a parent's id is below its children's.
+    Parallel arrays index intervals; ``iv_rb`` is exclusive.
     ``iv_children`` maps the branching label to the child interval;
     ``iv_slink`` is the interval of the same string minus its first label;
     ``iv_edge`` is the master node holding the first label of a non-root
@@ -122,59 +123,57 @@ class MatchStats:
 
 
 def _intervals(lcp, hs):
-    """Every lcp interval as parallel (depth, lb, rb) arrays, root first.
+    """Every lcp interval as parallel (depth, lb, rb, enclosing) arrays.
 
     ``lcp`` holds the boundary lcp of each rank with the next (last entry
     -1), ``hs`` the full suffix length of each rank.  The intervals are the
     root, those of ``lcp_intervals``, and a singleton for each rank whose
-    full suffix ties neither neighbour.  rb is exclusive.
+    full suffix ties neither neighbour.  rb is exclusive.  ``enclosing`` is
+    the depth of the smallest interval around each one (0 for the root):
+    for a singleton, the larger boundary lcp beside its rank.
     """
     n = hs.size
-    depth, lb, rb, _ = lcp_intervals(lcp)
+    depth, lb, rb, enclosing = lcp_intervals(lcp)
     left = np.concatenate(([-1], lcp[:-1]))
     single = np.flatnonzero((hs != left) & (hs != lcp))
     return (np.concatenate(([0], depth, hs[single])),
             np.concatenate(([0], lb, single)),
-            np.concatenate(([n], rb, single + 1)))
+            np.concatenate(([n], rb, single + 1)),
+            np.concatenate(([0], enclosing, np.maximum(np.maximum(left, lcp)[single], 0))))
 
 
 def build_master_index(sv: SupportSet) -> MasterIndex:
     merged = merge_forest(sv.trees)
     arr = merged_esa(merged)
     sa = arr.sa
-    lcp = arr.lcp
     n = sa.size
     slen = merged.depth + 1
-    depth, lb, rb = _intervals(lcp, slen[sa])
-    # Sorted by (lb, depth) the ids are a preorder: parents come first.
-    order = np.lexsort((depth, lb))
-    depth, lb, rb = depth[order], lb[order], rb[order]
+    depth, lb, rb, enclosing = _intervals(arr.lcp, slen[sa])
+    # Intervals of one depth are disjoint, so (depth, lb) is a unique key.
+    # Sorted by it, parents come first, and the interval at depth d holding
+    # rank r is the last whose key is at most (d, r).
+    keys = depth * (n + 1) + lb
+    order = np.argsort(keys)
+    depth, lb, rb, enclosing, keys = (a[order] for a in (depth, lb, rb, enclosing, keys))
     m = depth.size
 
-    # Intervals of one depth are disjoint, so the one at depth d holding
-    # rank r is the last whose (depth, lb) key is at most (d, r).
-    keys = depth * (n + 1) + lb
-    by_key = np.argsort(keys)
-    sorted_keys = keys[by_key]
-
     def holding(d, r):
-        return by_key[np.searchsorted(sorted_keys, d * (n + 1) + r, side="right") - 1]
+        return np.searchsorted(keys, d * (n + 1) + r, side="right") - 1
 
-    # Non-root intervals: the parent's depth is the larger lcp just outside
-    # the interval.  The string minus its first label is a prefix of the
+    # Non-root intervals: the parent is the interval at the enclosing depth
+    # holding lb.  The string minus its first label is a prefix of the
     # suffix of the parent node of the interval's first suffix, so its
     # rank finds the suffix link.  Only a depth-1 interval can start with
     # a root, which has no parent node; its link is the root interval.
     first = sa[lb[1:]]
-    ext = np.concatenate(([-1], lcp))
-    parent = np.append(-1, holding(np.maximum(np.maximum(ext[lb[1:]], ext[rb[1:]]), 0), lb[1:]))
+    parent = np.append(-1, holding(enclosing[1:], lb[1:]))
     up = merged.parent[first]
     at_root = up < 0
     ranks = arr.rsa[np.where(at_root, 0, up)]
     slink = np.append(0, np.where(at_root, 0, holding(depth[1:] - 1, ranks)))
 
     la = LevelAncestorIndex(merged.parent, merged.depth)
-    edge = la.query_batch(first, depth[parent[1:]])
+    edge = la.query_batch(first, enclosing[1:])
     blabels = merged.labels[edge].tolist()
 
     # alpha mass per interval: prefix sums over ranks by source tree.

@@ -270,6 +270,7 @@ class TestBenchCommands:
         ("bench-predict", "--n-min-pow", "-1"),
         ("bench-predict", "--n-max-pow", "-2"),
         ("bench-predict", "--m-step", "0"),
+        ("gen", "--count", "-1"),
     ])
     def test_out_of_range_flag_named(self, capsys, command, flag, value):
         with pytest.raises(SystemExit) as exc:

@@ -371,13 +371,21 @@ class TestGram:
         eig = np.linalg.eigvalsh(g)
         assert eig.min() >= -1e-8 * np.trace(g)
 
-    def test_parallel_matches_serial(self):
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("size", [0, 1, 2, 10])
+    def test_parallel_matches_serial(self, size, normalize):
+        # 0 and 1 trees leave fewer entries than workers: jobs=2 runs serially
         trees = [random_tree(random.Random(200 + i).randint(1, 25), 3, 200 + i)
-                 for i in range(10)]
+                 for i in range(size)]
         p = KernelParams(lam=0.5)
-        serial = gram_matrix(trees, p, jobs=1)
-        parallel = gram_matrix(trees, p, jobs=2)
-        assert serial == parallel
+        serial = gram_matrix(trees, p, normalize=normalize, jobs=1)
+        parallel = gram_matrix(trees, p, normalize=normalize, jobs=2)
+        assert len(serial) == len(parallel) == size
+        for row_s, row_p in zip(serial, parallel):
+            assert len(row_s) == len(row_p) == size
+            for a, b in zip(row_s, row_p):
+                assert type(a) is float and type(b) is float
+                assert a.hex() == b.hex()
 
     def test_jobs_below_one_rejected(self):
         t = parse_tree("a(b)")
