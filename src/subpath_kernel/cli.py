@@ -95,7 +95,8 @@ def cmd_esa_dump(args) -> int:
                 u = parent[u]
             lines.append(f"{i}\t{v}\t{h}\t{'/'.join(labels)}")
         blocks.append("\n".join(lines))
-    print("\n\n".join(blocks))
+    if blocks:
+        print("\n\n".join(blocks))
     return 0
 
 
@@ -164,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("gen", help="emit random trees")
-    p.add_argument("--n", type=int, required=True, help="nodes per tree")
-    p.add_argument("--sigma", type=int, required=True, help="alphabet size")
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="nodes per tree")
+    p.add_argument("--sigma", type=_int_at_least(1), required=True, help="alphabet size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_int_at_least(0), default=1)
     p.set_defaults(fn=cmd_gen)

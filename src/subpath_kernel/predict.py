@@ -48,7 +48,7 @@ from .kernel import (
 from .level_ancestor import LevelAncestorIndex
 # parse_tree is not called here, but perfbench/spans.py wraps
 # ``predict.parse_tree`` by name.
-from .trees import LabelTable, Tree, _parse_texts, _utf8_error_line, parse_tree, serialize_tree  # noqa: F401
+from .trees import LabelTable, Tree, _content_lines, _parse_texts, _utf8_error_line, parse_tree, serialize_tree  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -370,6 +370,7 @@ def _model_float(lineno: int, text: str, what: str) -> float:
 def load_model(path: str, table: LabelTable | None = None) -> SupportSet:
     """Read a ``save_model`` file; errors name the 1-based file line.
 
+    Lines are read as ``parse_corpus`` reads them (``_content_lines``).
     The tree column is parsed in one pass over all rows, with one label
     table for all of them (a fresh one when ``table`` is None).  A bad file
     raises for its first bad row and leaves ``table`` unchanged.
@@ -378,10 +379,9 @@ def load_model(path: str, table: LabelTable | None = None) -> SupportSet:
         table = LabelTable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            rows = [(k, ln.strip()) for k, ln in enumerate(fh, start=1)]
+            rows = _content_lines(fh)
     except UnicodeDecodeError:
         raise ValueError(f"model line {_utf8_error_line(path)}: not valid UTF-8") from None
-    rows = [(k, ln) for k, ln in rows if ln and not ln.startswith("#")]
     if not rows or not rows[0][1].startswith("lambda "):
         where = f"model line {rows[0][0]}: " if rows else ""
         raise ValueError(f"{where}model file must start with a 'lambda <value>' line")

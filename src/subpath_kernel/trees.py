@@ -231,11 +231,12 @@ def _parse_texts(texts: Sequence[str], table: LabelTable,
     level's magnitude is at most the token count, so int32 holds it below
     2**31 tokens; larger batches count it in int64.
 
-    When a rule fails anywhere, ``_first_error`` finds the first failure in
-    input order and this raises it as a ``TreeParseError`` with its byte
-    offset in its text, prefixed with ``where(i)`` for the i-th text when
-    ``where`` is given.  Nothing is interned before every text has passed,
-    so a malformed input leaves ``table`` unchanged.
+    The rules are written once, as a token mask and an end mask (over the
+    texts before the first flagged token's).  When they flag anything,
+    ``_first_error`` picks the first failure in input order, raised as a
+    ``TreeParseError`` with its byte offset in its text and ``where(i)``
+    prefixed for the i-th text when ``where`` is given.  Nothing is
+    interned before every text has passed, so ``table`` stays unchanged.
 
     The level at a label is its depth.  Ordered by (depth, id), a label
     right after '(' is a first child, whose parent is the label just
@@ -270,24 +271,24 @@ def _parse_texts(texts: Sequence[str], table: LabelTable,
     starts = np.cumsum([0] + [len(t) + 1 for t in texts[:-1]])
     first = np.searchsorted(pos, starts)
     count = np.diff(first, append=pos.size)
-    last = first + count - 1
     kind = cls.take(pos)
-    # One slot more than there are tokens, so that an empty text's first
-    # token, pos.size when it is last, has a slot to write to.
-    prev = np.empty(pos.size + 1, np.int8)
-    prev[0] = _SPACE
-    prev[1:] = kind
+    # ``prev`` has one slot more than there are tokens, for an empty last
+    # text's first token (pos.size).  ``padded`` ends in a _SPACE, a level
+    # step of 0, which an empty first text's last token (-1) reads.
+    padded = np.append(kind, np.int8(_SPACE))
+    prev = np.append(np.int8(_SPACE), kind)
     prev[first] = _SPACE
     prev = prev[:-1]
-    level = np.cumsum(_STEP.take(kind), dtype=np.int32 if pos.size < 2**31 else np.int64)
-    if not (
-        count.all()
-        and _FOLLOWS.take(prev * 5 + kind).all()
-        and _ENDS.take(kind.take(last)).all()
-        and not level.take(last).any()
-        and (level - (kind == _COMMA)).min() >= 0
-    ):
-        i, error = _first_error(texts, starts, pos, first, count, kind, prev, level)
+    level = np.cumsum(_STEP.take(padded), dtype=np.int32 if pos.size < 2**31 else np.int64)
+    bad = np.flatnonzero(~_FOLLOWS.take(prev * 5 + kind) | (level[:-1] < (kind == _COMMA)))
+    # A token belongs to the last text starting at or before it; a text
+    # without tokens starts where the next one does, and its count flags it.
+    t = int(np.searchsorted(first, bad[0], "right")) - 1 if bad.size else len(texts)
+    last = first[:t] + count[:t] - 1
+    end_kind = padded.take(last)
+    end_bad = np.flatnonzero((count[:t] == 0) | ~_ENDS.take(end_kind) | (level.take(last) != 0))
+    if bad.size or end_bad.size:
+        i, error = _first_error(texts, starts, pos, kind, prev, count, end_kind, bad, t, end_bad)
         raise error if where is None else error.located(where(i))
 
     at_label = np.flatnonzero(kind == _LABEL)
@@ -321,31 +322,20 @@ def _parse_texts(texts: Sequence[str], table: LabelTable,
 
 
 def _first_error(texts: Sequence[str], starts: np.ndarray, pos: np.ndarray,
-                 first: np.ndarray, count: np.ndarray, kind: np.ndarray,
-                 prev: np.ndarray, level: np.ndarray) -> tuple[int, TreeParseError]:
-    """The first grammar error of a batch that failed ``_parse_texts``'
-    checks, and the index of its text.
+                 kind: np.ndarray, prev: np.ndarray, count: np.ndarray,
+                 end_kind: np.ndarray, bad: np.ndarray, t: int,
+                 end_bad: np.ndarray) -> tuple[int, TreeParseError]:
+    """The first error of a batch that ``_parse_texts`` rejected, and the
+    index of its text, from the positions its rule masks flagged.
 
-    Within a text the first token that breaks a rule decides: a step that
-    ``_FOLLOWS`` forbids, else a comma below level 1 or a ')' below level
-    0.  A text whose tokens all pass fails at its end, at its byte length:
-    no token, a last token outside ``_ENDS``, or a nonzero level, checked
-    in that order.  The level is counted from the start of the batch, not
-    of the text; the two agree up to the end of the first bad text,
-    because every text before it passes and so ends at level 0.
+    ``bad`` holds the tokens that break a rule, the first in text ``t``;
+    ``end_bad`` the texts before ``t`` that break one at their end.  The
+    first of those fails first, at its byte length (the batch-wide level
+    is its own there, as every text before it ends at level 0): no token,
+    else a last token (``end_kind``) outside ``_ENDS``, else a nonzero
+    level.  Otherwise text ``t`` fails at its first bad token: a step that
+    ``_FOLLOWS`` forbids, else a comma below level 1 or a ')' below 0.
     """
-    step_bad = ~_FOLLOWS.take(prev * 5 + kind)
-    bad = np.flatnonzero(step_bad | (level < (kind == _COMMA)))
-    # A token belongs to the last text starting at or before it; a text
-    # without tokens starts where the next one does.
-    t = int(np.searchsorted(first, bad[0], "right")) - 1 if bad.size else len(texts)
-    count = count[:t]
-    # A text without tokens reads the padding or another text's last token
-    # here; its count flags it first.
-    last = first[:t] + count - 1
-    end_kind = np.append(kind, _SPACE).take(last)
-    end_bad = np.flatnonzero((count == 0) | ~_ENDS.take(end_kind)
-                             | (np.append(level, 0).take(last) != 0))
     if end_bad.size:
         i = int(end_bad[0])
         message = ("empty input" if count[i] == 0 else
@@ -354,7 +344,7 @@ def _first_error(texts: Sequence[str], starts: np.ndarray, pos: np.ndarray,
         return i, TreeParseError(message, len(texts[i].encode("utf-8", "surrogatepass")))
     j = int(bad[0])
     k = kind[j]
-    if step_bad[j]:
+    if not _FOLLOWS[prev[j] * 5 + k]:
         message = ("trailing garbage after tree" if k == _LABEL else
                    "'(' must follow a label" if k == _OPEN and prev[j] == _CLOSE else
                    "expected a label")
@@ -396,15 +386,20 @@ def serialize_tree(tree: Tree, table: LabelTable | None = None) -> str:
 
 
 def parse_corpus(lines: Iterable[str], table: LabelTable) -> list[Tree]:
-    """One tree per non-blank line; lines starting with '#' are comments.
+    """One tree per content line (``_content_lines``).
 
     All lines are parsed in one ``_parse_texts`` pass.  A malformed line
     raises ``TreeParseError`` with the 1-based line number of the first
     bad line prefixed, and leaves ``table`` unchanged.
     """
-    rows = [(lineno, s) for lineno, s in enumerate((ln.strip() for ln in lines), start=1)
-            if s and not s.startswith("#")]
+    rows = _content_lines(lines)
     return _parse_texts([s for _, s in rows], table, lambda i: f"line {rows[i][0]}")
+
+
+def _content_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
+    """(1-based line number, stripped text) of each line not blank or '#'."""
+    return [(k, s) for k, s in enumerate((ln.strip() for ln in lines), start=1)
+            if s and not s.startswith("#")]
 
 
 def _utf8_error_line(path: str) -> int:

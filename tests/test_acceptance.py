@@ -24,6 +24,7 @@ from subpath_kernel import (
     build_master_index,
     gram_matrix,
     matching_statistics,
+    merge_forest,
     path_tree,
     predict,
     predict_direct,
@@ -231,6 +232,27 @@ def test_07_kernel_runtime_scales_linearly(capsys, kernel_report):
     line = report(capsys, ok, "kernel time grows ~linearly and beats reference",
                   f"log-log slope {slope:.3f} <= 1.15, "
                   f"linear/reference at n={top} is {ratio:.3f} <= 1")
+    assert ok, line
+
+
+def test_07b_kernel_work_per_node_flat_in_size(capsys):
+    # test_07's pairs without the clock: bench_kernel's default sizes
+    # (2^12..2^17) and seeds.  Per node, the suffix-array build does one
+    # pass per doubling round and the interval sweep one step per rank
+    # where the lcp changes.  Seeds 7-11 read max/min 1.001-1.005; one
+    # more doubling round at the larger sizes alone would read about 1.17.
+    work = []
+    for i, k in enumerate(range(12, 18)):
+        n = 1 << k
+        merged = merge_forest([random_tree(n, bench.SIGMA, 7 + 2 * i + j) for j in (0, 1)])
+        stats = {}
+        lcp = build_esa_linear(merged, stats).lcp
+        work.append(stats["recursion_depth"] + np.count_nonzero(np.diff(lcp)) / lcp.size)
+    flat = max(work) / min(work)
+    ok = flat <= 1.1
+    line = report(capsys, ok, "kernel work per node independent of tree size",
+                  f"rounds + lcp-change share {min(work):.3f}-{max(work):.3f}, "
+                  f"max/min over n {flat:.3f} <= 1.1")
     assert ok, line
 
 

@@ -154,6 +154,11 @@ class TestEsaDumpCommand:
         assert main(["esa-dump", f]) == 0
         assert capsys.readouterr().out == "0\t0\t-1\ta\n\n0\t0\t-1\tb\n"
 
+    def test_empty_corpus_prints_nothing(self, tmp_path, capsys):
+        f = write(tmp_path / "t.trees", "# nothing\n\n")
+        assert main(["esa-dump", f]) == 0
+        assert capsys.readouterr().out == ""
+
     def test_builders_dump_identically(self, tmp_path, capsys):
         f = write(tmp_path / "t.trees", "a(b(a),b,c(a(a)))\n")
         assert main(["esa-dump", "--builder", "linear", f]) == 0
@@ -271,6 +276,8 @@ class TestBenchCommands:
         ("bench-predict", "--n-max-pow", "-2"),
         ("bench-predict", "--m-step", "0"),
         ("gen", "--count", "-1"),
+        ("gen", "--n", "0"),
+        ("gen", "--sigma", "0"),
     ])
     def test_out_of_range_flag_named(self, capsys, command, flag, value):
         with pytest.raises(SystemExit) as exc:
