@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .kernel import KernelParams, subpath_kernel
+from .kernel import KernelParams, lcp_intervals, merge_forest, merged_esa, subpath_kernel
 from .predict import SupportSet, build_master_index, predict, predict_direct
 from .trees import random_tree
 
@@ -116,7 +116,12 @@ def _check_fitted(name: str, sizes: list[int]) -> None:
 
 
 def bench_kernel(sizes: list[int] | None = None, *, seed: int = 7, reps: int = 5) -> BenchReport:
-    """Time random-pair kernels with the linear and the reference builder."""
+    """Time random-pair kernels with the linear and the reference builder.
+
+    The ``intervals`` series times the kernel's interval stage alone,
+    ``lcp_intervals`` on each pair's lcp array, in the same interleaved
+    rounds.
+    """
     if sizes is None:
         sizes = [1 << k for k in range(12, 18)]
     _check_reps(reps)
@@ -125,7 +130,7 @@ def bench_kernel(sizes: list[int] | None = None, *, seed: int = 7, reps: int = 5
     report = BenchReport(
         name="kernel-builders",
         config={"sizes": sizes, "sigma": SIGMA, "lam": LAM, "seed": seed, "reps": reps},
-        series={"linear": [], "reference": []},
+        series={"linear": [], "reference": [], "intervals": []},
     )
     configs, fns = [], []
     for i, n in enumerate(sizes):
@@ -134,12 +139,14 @@ def bench_kernel(sizes: list[int] | None = None, *, seed: int = 7, reps: int = 5
         for builder in ("linear", "reference"):
             configs.append((builder, n))
             fns.append(partial(subpath_kernel, t1, t2, params, builder=builder))
-    for (builder, n), (med, runs, iters) in zip(configs, measure(fns, reps=reps)):
-        report.series[builder].append(
+        configs.append(("intervals", n))
+        fns.append(partial(lcp_intervals, merged_esa(merge_forest([t1, t2])).lcp))
+    for (name, n), (med, runs, iters) in zip(configs, measure(fns, reps=reps)):
+        report.series[name].append(
             BenchPoint(size=n, seconds=med, runs=runs, inner_iters=iters)
         )
-    for builder in ("linear", "reference"):
-        report.slopes[builder] = loglog_slope(report.sizes(builder), report.times(builder))
+    for name in report.series:
+        report.slopes[name] = loglog_slope(report.sizes(name), report.times(name))
     report.ratios["linear_over_reference_at_max"] = (
         report.series["linear"][-1].seconds / report.series["reference"][-1].seconds
     )

@@ -8,9 +8,10 @@ all cross-tree suffix pairs of W[lcp], where W[k] = sum_{j<=k} lam**j.
 
 The fast path places both trees side by side in one forest, builds a
 single suffix array over every node-to-root suffix, finds its lcp intervals
-with ``lcp_intervals`` (one stack pass, shared with the master index of
-``predict``), and sums each interval's weighted count product in numpy —
-O(n) after the build.
+with ``lcp_intervals`` (shared with the master index of ``predict``: on
+large inputs numpy passes peel the innermost intervals and a stack pass
+takes the rest), and sums each interval's weighted count product in numpy
+— O(n) after the build.
 
 ``subpath_kernel_oracle`` recounts everything with a hash map of explicit
 prefix strings; it is the slow, independent cross-check.
@@ -97,6 +98,46 @@ def merged_esa(merged: MergedTree, builder: str = "linear") -> _esa.TreeSuffixAr
     return _esa.select_builder(builder)(merged)
 
 
+# Innermost intervals are peeled in numpy only while at least
+# _PEEL_MIN_RUNS runs of equal boundary lcp remain: below that a numpy pass
+# costs more than the stack steps it saves (peeling on every call made a
+# Gram of 100-400-node trees about a quarter slower).  Peeling stops after a pass that
+# finds fewer than _PEEL_MIN_SHARE of the runs as peaks, so a shape with
+# few peaks pays one pass at most.
+_PEEL_MIN_RUNS = 1024
+_PEEL_MIN_SHARE = 0.25
+
+
+def _peel(pos: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Remove innermost intervals in numpy passes, the "rake" of parallel
+    tree contraction (Miller & Reif 1985).
+
+    Runs of equal boundary lcp are given as ``lcp_intervals`` reads them:
+    each run but the last ends at rank ``pos[j]`` and the run after it has
+    the value ``after[j]``; the first run has the root's value 0.  A run
+    higher than both neighbours is an innermost interval: its depth is the
+    run value, and its ranks reach from the end of the run before it to
+    one past its own end.  Each such peak is lowered to its higher
+    neighbour, which removes that leaf of the interval tree and leaves
+    every other interval as it was.  Returns the remaining runs in the
+    same form and one (depth, lb, rb) triple of arrays per pass.
+    """
+    start = np.concatenate(([0], pos + 1))
+    value = np.concatenate(([0], after))
+    peeled = []
+    while True:
+        runs = start.size
+        mid = value[1:-1]
+        peak = np.flatnonzero((mid > value[:-2]) & (mid > value[2:])) + 1
+        peeled.append((value[peak], start[peak] - 1, start[peak + 1]))
+        value[peak] = np.maximum(value[peak - 1], value[peak + 1])
+        # A run equal to the one before it joins that one.
+        keep = np.concatenate(([True], value[1:] != value[:-1]))
+        start, value = start[keep], value[keep]
+        if peak.size < _PEEL_MIN_SHARE * runs or start.size < _PEEL_MIN_RUNS:
+            return start[1:] - 1, value[1:], peeled
+
+
 def lcp_intervals(lcp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every lcp interval of positive depth, in the order they close.
 
@@ -106,20 +147,31 @@ def lcp_intervals(lcp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     arrays (depth, lb, rb, enclosing), where ``enclosing`` is the depth of
     the smallest interval around it (0 for the root, which is not reported).
 
-    One stack of open (depth, lb) frames (Abouelhoda, Kurtz & Ohlebusch
-    2004), read only at the ranks where the boundary lcp changes: between
-    two of them nothing opens or closes.  A drop pops every deeper frame
-    and closes it at that rank; a rise pushes a frame starting at the
-    left end of the last frame popped, or at the rank itself.
+    The boundary lcp is read as runs of equal value.  With at least
+    ``_PEEL_MIN_RUNS`` runs, ``_peel`` first emits the innermost intervals
+    in numpy passes.  Then one stack of open (depth, lb) frames (Abouelhoda,
+    Kurtz & Ohlebusch 2004) takes the runs that remain, one step per run
+    end: a drop pops every deeper frame and closes it at that rank; a rise
+    pushes a frame starting at the left end of the last frame popped, or at
+    the rank itself.
+
+    The stack closes intervals by ascending rb and, at one rb, deepest
+    first, and no two intervals share both rb and depth; so however the
+    intervals were found, one sort by (rb, -depth) restores that order,
+    which the kernel's sequential float sum depends on.
     """
     # ext[i + 1] is boundary i; the root's depth 0 stands on both sides.
     ext = np.concatenate(([0], lcp[:-1], [0]))
     pos = np.flatnonzero(ext[1:] != ext[:-1])
+    after = ext[pos + 1]
+    peeled = []
+    if pos.size + 1 >= _PEEL_MIN_RUNS:
+        pos, after, peeled = _peel(pos, after)
     depths, lbs, rbs = [], [], []
     stack_depth = [0]
     stack_lb = [0]
     top = 0
-    for i, h in zip(pos.tolist(), ext[pos + 1].tolist()):
+    for i, h in zip(pos.tolist(), after.tolist()):
         lb = i
         while h < top:
             lb = stack_lb.pop()
@@ -136,6 +188,10 @@ def lcp_intervals(lcp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     depth = np.fromiter(depths, np.int64, k)
     lb = np.fromiter(lbs, np.int64, k)
     rb = np.fromiter(rbs, np.int64, k) + 1
+    if peeled:
+        depth, lb, rb = (np.concatenate(parts) for parts in zip((depth, lb, rb), *peeled))
+        order = np.lexsort((-depth, rb))
+        depth, lb, rb = depth[order], lb[order], rb[order]
     # The enclosing interval's depth is the larger boundary just outside.
     return depth, lb, rb, np.maximum(ext[lb], ext[rb])
 

@@ -21,9 +21,10 @@ tree is annotated once:
   label inside a long interval edge is read off a cursor node that moves
   one parent step per comparison.
 
-The intervals come from ``kernel.lcp_intervals``, the stack pass the pair
-kernel uses too; a level-ancestor batch finds each interval's edge-start
-node once, at build time.
+The intervals come from ``kernel.lcp_intervals``, the interval pass the
+pair kernel uses too (numpy peels of the innermost intervals, then a stack
+pass); a level-ancestor batch finds each interval's edge-start node once,
+at build time.
 
 ``predict_direct`` recomputes the same score as an explicit sum of pairwise
 kernels and serves as the independent cross-check.

@@ -9,7 +9,8 @@
   array; the library reads structure off the preorder arrays instead.
 * ``RmqIndex``: range minima from a doubling sparse table.  The lcp of the
   suffixes at ranks x < y is the minimum of lcp[x..y-1]; the library finds
-  lcp intervals with one stack pass instead (``kernel.lcp_intervals``).
+  lcp intervals without range minima instead (``kernel.lcp_intervals``:
+  numpy passes peel the innermost intervals, a stack pass takes the rest).
 """
 
 from __future__ import annotations

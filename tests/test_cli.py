@@ -230,7 +230,8 @@ class TestBenchCommands:
                                     "lam": bench.LAM, "seed": 3, "reps": 2}
         assert [p["size"] for p in report["series"]["linear"]] == [64, 128, 256]
         assert [p["size"] for p in report["series"]["reference"]] == [64, 128, 256]
-        assert "linear" in report["slopes"] and "reference" in report["slopes"]
+        assert [p["size"] for p in report["series"]["intervals"]] == [64, 128, 256]
+        assert set(report["slopes"]) == {"linear", "reference", "intervals"}
         assert all(p["seconds"] > 0 for s in report["series"].values() for p in s)
 
     def test_predict_report_shape(self, capsys):

@@ -108,10 +108,18 @@ def lcp_of_forest(trees):
 
 
 class TestLcpIntervals:
+    # The brute-force cases have fewer runs than the default cut-off, so
+    # there only the stack runs; at a cut-off of 3 the numpy peel runs too.
+    CUTOFFS = (kernel_module._PEEL_MIN_RUNS, 3)
+
     def check(self, lcp):
-        got = lcp_intervals(np.asarray(lcp, np.int64))
-        assert all(a.dtype == np.int64 for a in got)
-        assert list(zip(*(a.tolist() for a in got))) == brute_lcp_intervals(np.asarray(lcp))
+        want = brute_lcp_intervals(np.asarray(lcp))
+        for cutoff in self.CUTOFFS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernel_module, "_PEEL_MIN_RUNS", cutoff)
+                got = lcp_intervals(np.asarray(lcp, np.int64))
+            assert all(a.dtype == np.int64 for a in got)
+            assert list(zip(*(a.tolist() for a in got))) == want, cutoff
 
     def test_single_rank_and_empty(self):
         self.check([-1])
@@ -148,6 +156,23 @@ class TestLcpIntervals:
         for _ in range(200):
             b = [rng.randint(0, 4) for _ in range(rng.randint(0, 25))]
             self.check(b + [-1])
+
+    @pytest.mark.parametrize("make", [
+        lambda n, rng: (random_tree(n, 5, 21), random_tree(n, 5, 22)),
+        lambda n, rng: (random_tree(n, 1, 23), random_tree(n, 1, 24)),
+        lambda n, rng: tuple(path_tree(n, [rng.randrange(2) for _ in range(n)]) for _ in "ab"),
+        lambda n, rng: (star_tree(n), random_tree(n, 2, 25)),
+    ], ids=["sigma5", "sigma1", "paths", "star-sigma2"])
+    def test_large_pairs_peel_like_stack(self, make, monkeypatch):
+        # 2^12-node pairs: the peel runs at the default cut-off (but for
+        # sigma = 1, whose few runs stay under it) and must give the pure
+        # stack's arrays, dtypes and order.
+        lcp = lcp_of_forest(make(1 << 12, random.Random(14)))
+        peeled = lcp_intervals(lcp)
+        monkeypatch.setattr(kernel_module, "_PEEL_MIN_RUNS", lcp.size + 2)
+        for a, b in zip(peeled, lcp_intervals(lcp)):
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
 
 
 class TestMerge:
@@ -211,6 +236,10 @@ class TestPinnedValues:
             "paths": (path_tree(150, [k % 2 for k in range(150)]),
                       path_tree(170, [rng.randrange(2) for _ in range(170)])),
             "star-random": (star_tree(100), random_tree(120, 2, 15)),
+            # large enough that lcp_intervals peels before its stack pass
+            "sigma3-large": (random_tree(1 << 12, 3, 16), random_tree(1 << 12, 3, 17)),
+            "paths-large": tuple(path_tree(1 << 12, [rng.randrange(2) for _ in range(1 << 12)])
+                                 for _ in "ab"),
         }
 
     PINNED = {
@@ -218,6 +247,8 @@ class TestPinnedValues:
         "sigma1": ("0x1.709bb18000000p+15", "0x1.2b010d3e1cf55p-649", "0x1.6e2500252dcdcp+16"),
         "paths": ("0x1.0480600000000p+13", "0x1.30fbf3e850bcdp-651", "0x1.9e963f6fd21fep+13"),
         "star-random": ("0x1.8920000000000p+11", "0x1.fb1c686126df9p-653", "0x1.2483333333333p+12"),
+        "sigma3-large": ("0x1.9957f71800000p+21", "0x1.052f1b7a93544p-642", "0x1.37501c7177e57p+22"),
+        "paths-large": ("0x1.554aac88cde20p+22", "0x1.87ee4c07bff96p-642", "0x1.139fa61da9d5ap+23"),
     }
 
     def test_values_bit_identical(self):
