@@ -20,7 +20,8 @@ from functools import partial
 
 import numpy as np
 
-from .kernel import KernelParams, lcp_intervals, merge_forest, merged_esa, subpath_kernel
+from .esa import build_esa_linear
+from .kernel import KernelParams, lcp_intervals, merge_forest, subpath_kernel
 from .predict import SupportSet, build_master_index, predict, predict_direct
 from .trees import random_tree
 
@@ -118,9 +119,10 @@ def _check_fitted(name: str, sizes: list[int]) -> None:
 def bench_kernel(sizes: list[int] | None = None, *, seed: int = 7, reps: int = 5) -> BenchReport:
     """Time random-pair kernels with the linear and the reference builder.
 
-    The ``intervals`` series times the kernel's interval stage alone,
-    ``lcp_intervals`` on each pair's lcp array, in the same interleaved
-    rounds.
+    The ``merge``, ``build`` and ``intervals`` series time the kernel's
+    stages alone, in the same interleaved rounds: ``merge_forest`` on each
+    pair, ``build_esa_linear`` on the merged forest and ``lcp_intervals``
+    on its lcp array.
     """
     if sizes is None:
         sizes = [1 << k for k in range(12, 18)]
@@ -130,7 +132,7 @@ def bench_kernel(sizes: list[int] | None = None, *, seed: int = 7, reps: int = 5
     report = BenchReport(
         name="kernel-builders",
         config={"sizes": sizes, "sigma": SIGMA, "lam": LAM, "seed": seed, "reps": reps},
-        series={"linear": [], "reference": [], "intervals": []},
+        series={"linear": [], "reference": [], "merge": [], "build": [], "intervals": []},
     )
     configs, fns = [], []
     for i, n in enumerate(sizes):
@@ -139,13 +141,16 @@ def bench_kernel(sizes: list[int] | None = None, *, seed: int = 7, reps: int = 5
         for builder in ("linear", "reference"):
             configs.append((builder, n))
             fns.append(partial(subpath_kernel, t1, t2, params, builder=builder))
-        configs.append(("intervals", n))
-        fns.append(partial(lcp_intervals, merged_esa(merge_forest([t1, t2])).lcp))
+        merged = merge_forest([t1, t2])
+        configs += [("merge", n), ("build", n), ("intervals", n)]
+        fns += [partial(merge_forest, [t1, t2]), partial(build_esa_linear, merged),
+                partial(lcp_intervals, build_esa_linear(merged).lcp)]
     for (name, n), (med, runs, iters) in zip(configs, measure(fns, reps=reps)):
         report.series[name].append(
             BenchPoint(size=n, seconds=med, runs=runs, inner_iters=iters)
         )
-    for name in report.series:
+    # The merge and build stages report their times only, without a slope.
+    for name in ("linear", "reference", "intervals"):
         report.slopes[name] = loglog_slope(report.sizes(name), report.times(name))
     report.ratios["linear_over_reference_at_max"] = (
         report.series["linear"][-1].seconds / report.series["reference"][-1].seconds

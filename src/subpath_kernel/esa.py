@@ -16,15 +16,22 @@ Two interchangeable builders produce byte-identical output:
   ranks every node by the pair (rank of its first 2^k labels, rank of the
   first 2^k labels of its 2^k-th ancestor); walking past a root reads a
   sentinel of rank 0, which sorts below every label.  Rounds stop once all
-  ranks are distinct or every 2^k-th ancestor is the sentinel.  The lcp of
-  each rank-adjacent pair is then read off the stored rank levels by one
-  descending jump pass, capped at the shorter suffix length.  A tree of
-  height h needs at most ceil(log2(h + 1)) rounds of O(n) numpy work plus
-  one sort each (keys spanning a small multiple of n are ranked by
-  counting instead), so the worst case (a single-label path) is O(n log h),
-  not the O(n) the paper's construction guarantees; random trees stop
-  after about 5 rounds.  The name is kept for callers that select it as
-  ``"linear"``.
+  ranks are distinct, once every 2^k-th ancestor is the sentinel, or once
+  a round refines nothing.  A round's partition refines the previous one,
+  so a round with no more distinct ranks split no class; and a partition
+  one doubling leaves unchanged stays unchanged, because nodes of one
+  class then have ancestors of one class at every later step.  That round
+  is ranked, found to refine nothing, and dropped.  At the stop, equal
+  ranks mean identical suffixes: a rank-adjacent pair with equal final
+  ranks takes the full suffix length as its lcp, and the lcp of every
+  other pair is read off the stored rank levels by one descending jump
+  pass from the level below the top, where such pairs already differ.
+  A tree of height h needs at most ceil(log2(h + 1)) rounds of O(n) numpy
+  work plus one sort each (keys spanning a small multiple of n are ranked
+  by counting instead), so the worst case (a single-label path, whose
+  every round refines) is O(n log h), not the O(n) the paper's
+  construction guarantees; random trees keep 4 or 5 rounds.  The name is
+  kept for callers that select it as ``"linear"``.
 
 ``select_builder`` maps the ``builder=`` names to these functions.  Both
 builders accept any object with ``labels``, ``parent`` and ``depth``
@@ -164,8 +171,15 @@ def _dense_ranks(key: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, int]:
 def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
     """Prefix-doubling builder; output equals ``build_esa_reference``.
 
+    A round with as many distinct ranks as the one before split no class
+    and is a fixed point: it is dropped and the rounds stop (the module
+    docstring gives the argument).  Rank-adjacent pairs with equal final
+    ranks are identical suffixes and take their full length as lcp; only
+    the other pairs run the lcp descent, from the level below the top.
+
     Pass ``stats`` to receive ``{"recursion_depth": rounds}``: the number of
-    doubling rounds, at most ceil(log2(height + 1)).
+    rank levels kept after the label ranks, at most ceil(log2(height + 1));
+    a round found to refine nothing is ranked, then dropped, and not counted.
     """
     lab = tree.labels
     n = int(lab.size)
@@ -184,17 +198,23 @@ def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
     anc[n] = n
     rank, distinct = _dense_ranks(lab, int(lab.min()), int(lab.max()))
     ranks, ancs = [rank], [anc]
-    # Rounds stop once the ranks are distinct, or once no node has a
-    # step-th ancestor, i.e. step exceeds the greatest depth.
+    # Rounds stop once the ranks are distinct, once no node has a
+    # step-th ancestor (step exceeds the greatest depth), or once a round
+    # refines nothing.
     step = 1
     max_depth = int(dep.max())
     while distinct < n and step <= max_depth:
         # Ranks are 1..distinct and the sentinel's is 0, so the pair
         # (rank, ancestor's rank) packs into keys below (distinct + 1)^2.
         key = np.multiply(rank[:n], distinct + 1, dtype=np.int64)
-        key += rank[anc[:n]]
-        rank, distinct = _dense_ranks(key, 0, (distinct + 1) ** 2 - 1)
-        anc = anc[anc]
+        key += rank.take(anc[:n])
+        rank, refined = _dense_ranks(key, 0, (distinct + 1) ** 2 - 1)
+        if refined == distinct:
+            # Same classes in the same order as the last kept level, so
+            # ``rank`` still sorts the suffixes as that level would.
+            break
+        distinct = refined
+        anc = anc.take(anc)
         step *= 2
         ranks.append(rank)
         ancs.append(anc)
@@ -203,18 +223,33 @@ def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
 
     # The final ranks tie only for identical suffixes, which order by id:
     # sorting the distinct keys rank * n + id gives that order directly.
-    sa = np.multiply(rank[:n], n, dtype=np.int64)
-    sa += np.arange(n)
-    sa = np.sort(sa) % n
-    u, v = sa[:-1], sa[1:]
-    cap = np.minimum(dep[u], dep[v]) + 1
-    h = np.zeros(n - 1, np.int64)
-    for k in range(len(ranks) - 1, -1, -1):
+    key = np.multiply(rank[:n], n, dtype=np.int64)
+    key += np.arange(n)
+    key.sort()
+    lcp = np.empty(n, np.int64)
+    lcp[-1] = -1
+    if distinct == n:
+        # No pair ties (as on paths): every pair descends, uncompacted.
+        sa = key % n
+        apart = slice(0, n - 1)
+        u, v = sa[:-1], sa[1:]
+    else:
+        # A tied pair is two nodes with one suffix string: its lcp is the
+        # string's length.
+        final, sa = np.divmod(key, n)
+        apart = np.flatnonzero(final[1:] != final[:-1])
+        lcp[:-1] = dep.take(sa[1:]) + 1
+        u, v = sa[apart], sa[apart + 1]
+    # The other pairs differ at the top level.  Ranks see where a suffix
+    # ends (the sentinel's 0 matches no label), so the descent reads their
+    # lcp exactly, never past the shorter length.
+    h = np.zeros(u.size, np.int64)
+    for k in range(len(ranks) - 2, -1, -1):
         eq = ranks[k][u] == ranks[k][v]
         h += eq << k
         u = np.where(eq, ancs[k][u], u)
         v = np.where(eq, ancs[k][v], v)
-    lcp = np.append(np.minimum(h, cap), -1)
+    lcp[apart] = h
     return _finish(sa, lcp)
 
 

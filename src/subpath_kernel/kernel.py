@@ -157,8 +157,11 @@ def lcp_intervals(lcp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
     The stack closes intervals by ascending rb and, at one rb, deepest
     first, and no two intervals share both rb and depth; so however the
-    intervals were found, one sort by (rb, -depth) restores that order,
-    which the kernel's sequential float sum depends on.
+    intervals were found, one stable sort of the unique packed keys
+    rb * (max depth + 1) - depth restores that order, which the kernel's
+    sequential float sum depends on.  The stack's intervals and each
+    pass's peaks come in rb order already, and a stable sort merges such
+    runs quickly.
     """
     # ext[i + 1] is boundary i; the root's depth 0 stands on both sides.
     ext = np.concatenate(([0], lcp[:-1], [0]))
@@ -190,7 +193,7 @@ def lcp_intervals(lcp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     rb = np.fromiter(rbs, np.int64, k) + 1
     if peeled:
         depth, lb, rb = (np.concatenate(parts) for parts in zip((depth, lb, rb), *peeled))
-        order = np.lexsort((-depth, rb))
+        order = np.argsort(rb * (int(depth.max()) + 1) - depth, kind="stable")
         depth, lb, rb = depth[order], lb[order], rb[order]
     # The enclosing interval's depth is the larger boundary just outside.
     return depth, lb, rb, np.maximum(ext[lb], ext[rb])

@@ -231,6 +231,8 @@ class TestBenchCommands:
         assert [p["size"] for p in report["series"]["linear"]] == [64, 128, 256]
         assert [p["size"] for p in report["series"]["reference"]] == [64, 128, 256]
         assert [p["size"] for p in report["series"]["intervals"]] == [64, 128, 256]
+        assert [p["size"] for p in report["series"]["merge"]] == [64, 128, 256]
+        assert [p["size"] for p in report["series"]["build"]] == [64, 128, 256]
         assert set(report["slopes"]) == {"linear", "reference", "intervals"}
         assert all(p["seconds"] > 0 for s in report["series"].values() for p in s)
 

@@ -133,6 +133,57 @@ class TestDifferential:
             assert a == b
 
 
+def coin_path(n, seed, root=None):
+    """A path of n nodes with random labels 0/1, the root's label fixed if given."""
+    rng = random.Random(seed)
+    labels = [rng.randrange(2) for _ in range(n)]
+    if root is not None:
+        labels[0] = root
+    return path_tree(n, labels)
+
+
+def built_like_reference(forest):
+    """build_esa_linear's rounds and arrays, each array checked against the reference."""
+    stats = {}
+    got = build_esa_linear(forest, stats)
+    want = build_esa_reference(forest)
+    for name in ("sa", "lcp", "rsa"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    return stats["recursion_depth"]
+
+
+class TestStopAndTies:
+    """The branches of the fixed-point stop and the tied-neighbour shortcut."""
+
+    def test_repeated_trees(self):
+        # [t, p, t, p]: every suffix has an identical twin
+        for seed in range(5):
+            t, p = random_tree(60, 2, seed), coin_path(30, seed)
+            built_like_reference(merge_forest([t, p, t, p]))
+
+    def test_all_distinct_skips_compaction(self):
+        # roots labelled apart: no two suffixes are equal
+        for seed in range(5):
+            forest = merge_forest([coin_path(200, seed, root=0), coin_path(150, seed + 50, root=1)])
+            assert len({tuple(suffix(forest, v)) for v in range(forest.labels.size)}) == forest.labels.size
+            built_like_reference(forest)
+        built_like_reference(path_tree(300))
+
+    def test_stop_before_depth_cap(self):
+        # equal root labels tie the two one-node suffixes for good, so only
+        # the stop ends the rounds before step passes the greatest depth
+        for seed in range(5):
+            forest = merge_forest([coin_path(1000, seed, root=0), coin_path(900, seed + 50, root=0)])
+            assert built_like_reference(forest) < int(forest.depth.max()).bit_length()
+
+    def test_top_level_zero(self):
+        # no doubling round: one node, or roots only (tied and distinct labels)
+        table = LabelTable()
+        roots = [parse_tree(text, table) for text in "abab"]
+        for forest in (merge_forest([roots[0]]), merge_forest(roots), merge_forest(roots[:2])):
+            assert built_like_reference(forest) == 0
+
+
 class TestNaiveLcp:
     def test_self_is_full_length(self):
         t = random_tree(20, 3, 1)
@@ -209,14 +260,12 @@ class TestLinearInternals:
             build_esa_linear(t, stats)
             return stats["recursion_depth"]
 
-        def coin_path(seed):
-            rng = random.Random(seed)
-            return path_tree(1 << 14, [rng.randrange(2) for _ in range(1 << 14)])
-
         assert rounds(path_tree(5000)) == 13
         pairs = {5: (random_tree(1 << 14, 5, 0), random_tree(1 << 14, 5, 1)),
                  1: (random_tree(1 << 14, 1, 0), random_tree(1 << 14, 1, 1)),
-                 "paths": (coin_path(0), coin_path(1)),
-                 "tied paths": (coin_path(2), coin_path(3))}
+                 "paths": (coin_path(1 << 14, 0), coin_path(1 << 14, 1)),
+                 "tied paths": (coin_path(1 << 14, 2), coin_path(1 << 14, 3))}
         got = {k: rounds(merge_forest(list(pair))) for k, pair in pairs.items()}
-        assert got == {5: 5, 1: 5, "paths": 5, "tied paths": 14}
+        assert got == {5: 4, 1: 5, "paths": 5, "tied paths": 5}
+        # the worst case: every round refines a single-label path
+        assert rounds(path_tree(1 << 17)) == 17

@@ -151,6 +151,15 @@ class TestLcpIntervals:
         for copies in (2, 3):
             self.check(lcp_of_forest([t] * copies))
 
+    def test_tied_paths(self):
+        # coin paths sharing their root-ward labels tie on every suffix of
+        # the shared part: deep nested intervals for the peel's sort order
+        rng = random.Random(15)
+        for shared in (4, 15, 30):
+            common = [rng.randrange(2) for _ in range(shared)]
+            self.check(lcp_of_forest([path_tree(shared + k, common + [rng.randrange(2) for _ in range(k)])
+                                      for k in (8, 20)]))
+
     def test_arbitrary_arrays(self):
         rng = random.Random(13)
         for _ in range(200):
