@@ -226,20 +226,15 @@ def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
     key = np.multiply(rank[:n], n, dtype=np.int64)
     key += np.arange(n)
     key.sort()
+    # A tied pair is two nodes with one suffix string: its lcp is the
+    # string's length.  Every pair is written so (one contiguous gather
+    # costs less than a masked one), and the descent overwrites the rest.
+    final, sa = np.divmod(key, n)
     lcp = np.empty(n, np.int64)
     lcp[-1] = -1
-    if distinct == n:
-        # No pair ties (as on paths): every pair descends, uncompacted.
-        sa = key % n
-        apart = slice(0, n - 1)
-        u, v = sa[:-1], sa[1:]
-    else:
-        # A tied pair is two nodes with one suffix string: its lcp is the
-        # string's length.
-        final, sa = np.divmod(key, n)
-        apart = np.flatnonzero(final[1:] != final[:-1])
-        lcp[:-1] = dep.take(sa[1:]) + 1
-        u, v = sa[apart], sa[apart + 1]
+    lcp[:-1] = dep.take(sa[1:]) + 1
+    apart = np.flatnonzero(final[1:] != final[:-1])
+    u, v = sa[apart], sa[apart + 1]
     # The other pairs differ at the top level.  Ranks see where a suffix
     # ends (the sentinel's 0 matches no label), so the descent reads their
     # lcp exactly, never past the shorter length.

@@ -161,7 +161,7 @@ class TestStopAndTies:
             t, p = random_tree(60, 2, seed), coin_path(30, seed)
             built_like_reference(merge_forest([t, p, t, p]))
 
-    def test_all_distinct_skips_compaction(self):
+    def test_all_distinct(self):
         # roots labelled apart: no two suffixes are equal
         for seed in range(5):
             forest = merge_forest([coin_path(200, seed, root=0), coin_path(150, seed + 50, root=1)])
