@@ -49,27 +49,22 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class TreeSuffixArray:
-    """sa: rank -> node; rsa: node -> rank; lcp as documented above.
+    """sa: rank -> node; lcp as documented above.
 
-    All three are int64 arrays of length n; ``==`` compares them.
+    Both are int64 arrays of length n; ``==`` compares them.
     """
 
     sa: np.ndarray
     lcp: np.ndarray
-    rsa: np.ndarray
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreeSuffixArray):
             return NotImplemented
-        return all(np.array_equal(a, b) for a, b in
-                   ((self.sa, other.sa), (self.lcp, other.lcp), (self.rsa, other.rsa)))
+        return np.array_equal(self.sa, other.sa) and np.array_equal(self.lcp, other.lcp)
 
 
 def _finish(sa, lcp) -> TreeSuffixArray:
-    sa = np.asarray(sa, np.int64)
-    rsa = np.empty_like(sa)
-    rsa[sa] = np.arange(sa.size)
-    return TreeSuffixArray(sa=sa, lcp=np.asarray(lcp, np.int64), rsa=rsa)
+    return TreeSuffixArray(sa=np.asarray(sa, np.int64), lcp=np.asarray(lcp, np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -74,19 +74,18 @@ class MasterIndex:
 
     Interval id 0 is the root (empty string, full rank range), and ids are
     in (depth, lb) order, so a parent's id is below its children's.
-    Parallel arrays index intervals; ``iv_rb`` is exclusive.
+    Parallel arrays index intervals.
     ``iv_children`` maps the branching label to the child interval;
     ``iv_slink`` is the interval of the same string minus its first label;
     ``iv_edge`` is the master node holding the first label of a non-root
-    interval's edge, on the suffix at rank ``iv_lb`` (-1 for the root).
+    interval's edge, on the suffix at the interval's first rank (-1 for
+    the root).
     """
 
     bias: float
     weights: list[float]
     merged: MergedTree
     iv_depth: list[int]
-    iv_lb: list[int]
-    iv_rb: list[int]
     iv_parent: list[int]
     iv_children: list[dict[int, int]]
     iv_wv: list[float]
@@ -165,13 +164,13 @@ def build_master_index(sv: SupportSet) -> MasterIndex:
     # holding lb.  The string minus its first label is a prefix of the
     # suffix of the parent node of the interval's first suffix, so its
     # rank finds the suffix link.  Only a depth-1 interval can start with
-    # a root, which has no parent node; its link is the root interval.
+    # a root: its parent -1 reads slot n, which holds rank 0, and at depth
+    # 0 any rank finds the root interval, which is that interval's link.
     first = sa[lb[1:]]
     parent = np.append(-1, holding(enclosing[1:], lb[1:]))
-    up = merged.parent[first]
-    at_root = up < 0
-    ranks = arr.rsa[np.where(at_root, 0, up)]
-    slink = np.append(0, np.where(at_root, 0, holding(depth[1:] - 1, ranks)))
+    rank = np.zeros(n + 1, np.int64)
+    rank[sa] = np.arange(n)
+    slink = np.append(0, holding(depth[1:] - 1, rank[merged.parent[first]]))
 
     la = LevelAncestorIndex(merged.parent, merged.depth)
     edge = la.query_batch(first, enclosing[1:])
@@ -203,8 +202,6 @@ def build_master_index(sv: SupportSet) -> MasterIndex:
         weights=weights,
         merged=merged,
         iv_depth=iv_depth,
-        iv_lb=lb.tolist(),
-        iv_rb=rb.tolist(),
         iv_parent=iv_parent,
         iv_children=iv_children,
         iv_wv=iv_wv,

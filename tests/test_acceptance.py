@@ -154,9 +154,10 @@ def test_03_lcp_array_answers_pairwise_lcp_queries(capsys):
     def check(tree, pairs):
         nonlocal bad, queries
         esa = build_esa_linear(tree)
+        rank = np.argsort(esa.sa)
         rmq = RmqIndex(esa.lcp)
         for u, v in pairs:
-            p, q = esa.rsa[u], esa.rsa[v]
+            p, q = rank[u], rank[v]
             if p > q:
                 p, q = q, p
             got = tree.depth[u] + 1 if p == q else rmq.query(p, q - 1)

@@ -19,7 +19,6 @@ def assert_valid_esa(tree, arr):
     """Full invariant battery checked against per-pair brute force."""
     n = tree.n
     assert sorted(arr.sa) == list(range(n))
-    assert [arr.rsa[arr.sa[i]] for i in range(n)] == list(range(n))
     sufs = [suffix(tree, v) for v in range(n)]
     assert [len(s) for s in sufs] == [d + 1 for d in tree.depth]
     for i in range(n - 1):
@@ -39,7 +38,6 @@ class TestFrozenExamples:
             arr = build(t)
             assert arr.sa.tolist() == [0, 1]
             assert arr.lcp.tolist() == [0, -1]
-            assert arr.rsa.tolist() == [0, 1]
             assert [t.depth[v] + 1 for v in arr.sa] == [1, 2]
 
     def test_single_node(self):
@@ -147,7 +145,7 @@ def built_like_reference(forest):
     stats = {}
     got = build_esa_linear(forest, stats)
     want = build_esa_reference(forest)
-    for name in ("sa", "lcp", "rsa"):
+    for name in ("sa", "lcp"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     return stats["recursion_depth"]
 
@@ -199,12 +197,13 @@ class TestNaiveLcp:
         for seed in range(10):
             t = random_tree(rng.randint(2, 120), rng.choice([1, 2, 4]), seed)
             arr = build_esa_reference(t)
+            rank = np.argsort(arr.sa)
             idx = RmqIndex(arr.lcp)
             for _ in range(200):
                 u, v = rng.randrange(t.n), rng.randrange(t.n)
                 if u == v:
                     continue
-                x, y = sorted((arr.rsa[u], arr.rsa[v]))
+                x, y = sorted((rank[u], rank[v]))
                 assert naive_lcp(t, u, v) == idx.query(x, y - 1)
 
 

@@ -15,6 +15,7 @@ from subpath_kernel.kernel import KernelParams, merged_esa, subpath_kernel
 from subpath_kernel.predict import (
     MasterIndex,
     SupportSet,
+    _intervals,
     build_master_index,
     load_model,
     matching_statistics,
@@ -59,8 +60,21 @@ def caterpillar(spine: int, sigma: int, seed: int) -> Tree:
     return shuffle_children(Tree.from_parents(labels, parent), seed)
 
 
-def interval_string(idx: MasterIndex, sa: np.ndarray, c: int) -> list[int]:
-    v = sa[idx.iv_lb[c]]
+def interval_ranges(idx: MasterIndex) -> tuple[list[int], list[int]]:
+    """Each interval's rank range [lb, rb), recomputed from the suffix array.
+
+    The intervals of ``_intervals`` are put in the documented id order,
+    (depth, lb), and their depths must be the index's.
+    """
+    arr = merged_esa(idx.merged)
+    depth, lb, rb, _ = _intervals(arr.lcp, idx.merged.depth[arr.sa] + 1)
+    order = np.lexsort((lb, depth))
+    assert depth[order].tolist() == idx.iv_depth
+    return lb[order].tolist(), rb[order].tolist()
+
+
+def interval_string(idx: MasterIndex, sa: np.ndarray, lbs: list[int], c: int) -> list[int]:
+    v = sa[lbs[c]]
     out = []
     while v != -1 and len(out) < idx.iv_depth[c]:
         out.append(idx.merged.labels[v])
@@ -84,6 +98,7 @@ def check_locus(idx: MasterIndex, t: Tree, st) -> None:
         return out
 
     sa = merged_esa(idx.merged).sa.tolist()
+    iv_lb, _ = interval_ranges(idx)
     master = idx.merged.labels.tolist(), idx.merged.parent.tolist()
     tree = t.labels.tolist(), t.parent.tolist()
     for v, (x, q) in enumerate(zip(st.locus, st.lengths)):
@@ -91,7 +106,7 @@ def check_locus(idx: MasterIndex, t: Tree, st) -> None:
             assert x == 0
         else:
             assert idx.iv_depth[idx.iv_parent[x]] < q <= idx.iv_depth[x]
-            assert spell(*master, sa[idx.iv_lb[x]], q) == spell(*tree, v, q)
+            assert spell(*master, sa[iv_lb[x]], q) == spell(*tree, v, q)
 
 
 def check_interval_structure(idx: MasterIndex) -> None:
@@ -102,18 +117,21 @@ def check_interval_structure(idx: MasterIndex) -> None:
     inner boundary lcp is >= d, and the boundaries just outside are < d.
     Every positive boundary lcp and every full suffix must lie inside an
     interval of its depth, and each parent must be the smallest enclosing
-    interval, found here by a containment stack over the intervals.
+    interval, found here by a containment stack over the intervals.  Each
+    non-root interval's edge node lies on the suffix at its first rank, at
+    the parent's depth, and its label leads from the parent to it.
     """
     arr = merged_esa(idx.merged)
     n = arr.sa.size
     lcp = arr.lcp[:-1]
     hs = idx.merged.depth[arr.sa] + 1
     m = idx.n_intervals
-    assert (idx.iv_depth[0], idx.iv_lb[0], idx.iv_rb[0], idx.iv_parent[0]) == (0, 0, n, -1)
+    iv_lb, iv_rb = interval_ranges(idx)
+    assert (idx.iv_depth[0], iv_lb[0], iv_rb[0], idx.iv_parent[0]) == (0, 0, n, -1)
     covered = np.zeros(lcp.size, bool)
     located = np.zeros(n, bool)
     for c in range(1, m):
-        d, lb, rb = idx.iv_depth[c], idx.iv_lb[c], idx.iv_rb[c]
+        d, lb, rb = idx.iv_depth[c], iv_lb[c], iv_rb[c]
         assert 0 <= lb < rb <= n and d > 0
         assert hs[lb:rb].min() >= d
         assert lcp[lb:rb - 1].min(initial=d) >= d
@@ -122,13 +140,22 @@ def check_interval_structure(idx: MasterIndex) -> None:
         covered[lb:rb - 1] |= lcp[lb:rb - 1] == d
         located[lb:rb] |= hs[lb:rb] == d
     assert covered[lcp > 0].all() and located.all()
-    assert len({(idx.iv_depth[c], idx.iv_lb[c]) for c in range(m)}) == m
+    assert len({(idx.iv_depth[c], iv_lb[c]) for c in range(m)}) == m
     stack: list[int] = []
-    for c in sorted(range(m), key=lambda c: (idx.iv_lb[c], -idx.iv_rb[c], idx.iv_depth[c])):
-        while stack and idx.iv_rb[stack[-1]] < idx.iv_rb[c]:
+    for c in sorted(range(m), key=lambda c: (iv_lb[c], -iv_rb[c], idx.iv_depth[c])):
+        while stack and iv_rb[stack[-1]] < iv_rb[c]:
             stack.pop()
         assert idx.iv_parent[c] == (stack[-1] if stack else -1)
         stack.append(c)
+    labels, up = idx.merged.labels.tolist(), idx.merged.parent.tolist()
+    assert idx.iv_edge[0] == -1
+    for c in range(1, m):
+        p = idx.iv_parent[c]
+        v = int(arr.sa[iv_lb[c]])
+        for _ in range(idx.iv_depth[p]):
+            v = up[v]
+        assert idx.iv_edge[c] == v
+        assert idx.iv_children[p][labels[v]] == c
 
 
 class TestIndexStructure:
@@ -192,14 +219,15 @@ class TestIndexStructure:
     def test_children_partition_parent(self):
         sv = make_sv(5, 25, 2, 3)
         idx = build_master_index(sv)
+        iv_lb, iv_rb = interval_ranges(idx)
         for c in range(idx.n_intervals):
-            kids = sorted(idx.iv_children[c].values(), key=idx.iv_lb.__getitem__)
+            kids = sorted(idx.iv_children[c].values(), key=iv_lb.__getitem__)
             for k in kids:
                 assert idx.iv_parent[k] == c
                 assert idx.iv_depth[k] > idx.iv_depth[c]
-                assert idx.iv_lb[c] <= idx.iv_lb[k] < idx.iv_rb[k] <= idx.iv_rb[c]
+                assert iv_lb[c] <= iv_lb[k] < iv_rb[k] <= iv_rb[c]
             for a, b in zip(kids, kids[1:]):
-                assert idx.iv_rb[a] <= idx.iv_lb[b]
+                assert iv_rb[a] <= iv_lb[b]
 
     def test_leaves_share_one_empty_children_dict(self):
         sv = make_sv(6, 30, 2, 8)
@@ -222,10 +250,11 @@ class TestIndexStructure:
         sv = make_sv(6, 30, 2, 7, signed=True)
         idx = build_master_index(sv)
         sa = merged_esa(idx.merged).sa
+        iv_lb, iv_rb = interval_ranges(idx)
         for c in range(idx.n_intervals):
             direct = sum(
                 sv.alphas[idx.merged.source[sa[r]]]
-                for r in range(idx.iv_lb[c], idx.iv_rb[c])
+                for r in range(iv_lb[c], iv_rb[c])
             )
             assert rel_close(idx.iv_wv[c], direct, 1e-12)
 
@@ -256,11 +285,12 @@ class TestSuffixLinks:
                          random.Random(seed + 1).randint(1, 3), seed)
             idx = build_master_index(sv)
             sa = merged_esa(idx.merged).sa
+            iv_lb, _ = interval_ranges(idx)
             for c in range(1, idx.n_intervals):
-                s = interval_string(idx, sa, c)
+                s = interval_string(idx, sa, iv_lb, c)
                 tgt = idx.iv_slink[c]
                 assert idx.iv_depth[tgt] == idx.iv_depth[c] - 1
-                assert interval_string(idx, sa, tgt) == s[1:]
+                assert interval_string(idx, sa, iv_lb, tgt) == s[1:]
                 checked += 1
         assert checked > 200
 
