@@ -23,7 +23,7 @@ import numpy as np
 from .esa import build_esa_linear
 from .kernel import KernelParams, lcp_intervals, merge_forest, subpath_kernel
 from .predict import SupportSet, build_master_index, predict, predict_direct
-from .trees import random_tree
+from .trees import path_tree, random_tree
 
 # The model both reports time: trees over SIGMA labels, decay LAM (the
 # acceptance gates' value), SV_N-node support trees, an INPUT_N-node input.
@@ -122,7 +122,10 @@ def bench_kernel(sizes: list[int] | None = None, *, seed: int = 7, reps: int = 5
     The ``merge``, ``build`` and ``intervals`` series time the kernel's
     stages alone, in the same interleaved rounds: ``merge_forest`` on each
     pair, ``build_esa_linear`` on the merged forest and ``lcp_intervals``
-    on its lcp array.
+    on its lcp array.  ``path_build`` times ``build_esa_linear`` on a
+    single-label path of the pair's 2n nodes, the builder's worst case
+    (every doubling round refines), in interleaved rounds of its own after
+    those; its slope is reported, not gated.
     """
     if sizes is None:
         sizes = [1 << k for k in range(12, 18)]
@@ -132,7 +135,8 @@ def bench_kernel(sizes: list[int] | None = None, *, seed: int = 7, reps: int = 5
     report = BenchReport(
         name="kernel-builders",
         config={"sizes": sizes, "sigma": SIGMA, "lam": LAM, "seed": seed, "reps": reps},
-        series={"linear": [], "reference": [], "merge": [], "build": [], "intervals": []},
+        series={"linear": [], "reference": [], "merge": [], "build": [], "intervals": [],
+                "path_build": []},
     )
     configs, fns = [], []
     for i, n in enumerate(sizes):
@@ -149,8 +153,17 @@ def bench_kernel(sizes: list[int] | None = None, *, seed: int = 7, reps: int = 5
         report.series[name].append(
             BenchPoint(size=n, seconds=med, runs=runs, inner_iters=iters)
         )
+    # Made after the rounds above: the paths' 2n-node arrays, allocated
+    # beside the pairs, changed the heap those rounds run in and raised the
+    # minor page faults of the linear kernel at 2^16 from 0 to about 1,400
+    # per call, and so the slope acceptance test_07 gates.
+    paths = [partial(build_esa_linear, path_tree(2 * n)) for n in sizes]
+    for n, (med, runs, iters) in zip(sizes, measure(paths, reps=reps)):
+        report.series["path_build"].append(
+            BenchPoint(size=n, seconds=med, runs=runs, inner_iters=iters)
+        )
     # The merge and build stages report their times only, without a slope.
-    for name in ("linear", "reference", "intervals"):
+    for name in ("linear", "reference", "intervals", "path_build"):
         report.slopes[name] = loglog_slope(report.sizes(name), report.times(name))
     report.ratios["linear_over_reference_at_max"] = (
         report.series["linear"][-1].seconds / report.series["reference"][-1].seconds

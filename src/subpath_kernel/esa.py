@@ -21,17 +21,29 @@ Two interchangeable builders produce byte-identical output:
   so a round with no more distinct ranks split no class; and a partition
   one doubling leaves unchanged stays unchanged, because nodes of one
   class then have ancestors of one class at every later step.  That round
-  is ranked, found to refine nothing, and dropped.  At the stop, equal
-  ranks mean identical suffixes: a rank-adjacent pair with equal final
-  ranks takes the full suffix length as its lcp, and the lcp of every
-  other pair is read off the stored rank levels by one descending jump
-  pass from the level below the top, where such pairs already differ.
+  is dropped.  After a round ranked by the packed sort below, the next
+  round's keys are first read in that sorted order, where each class is
+  one run: they change at the distinct - 1 class boundaries and
+  elsewhere only where a class splits, so exactly distinct - 1 changes
+  stop the rounds before that round is ranked.  After any other round
+  the next one is ranked, found to refine nothing, and dropped.  At the
+  stop, equal ranks mean identical suffixes, ordered by node id; a last
+  packed sort already gives that order, else one more sort of
+  ``rank << b | id`` does.  A rank-adjacent pair with equal final ranks
+  takes the full suffix length as its lcp, and the lcp of every other
+  pair is read off the stored rank levels by one descending jump pass
+  from the level below the top, where such pairs already differ.
   A tree of height h needs at most ceil(log2(h + 1)) rounds of O(n) numpy
-  work plus one sort each (keys spanning a small multiple of n are ranked
-  by counting instead), so the worst case (a single-label path, whose
-  every round refines) is O(n log h), not the O(n) the paper's
-  construction guarantees; random trees keep 4 or 5 rounds.  The name is
-  kept for callers that select it as ``"linear"``.
+  work plus one sort each.  Keys spanning a small multiple of n are
+  ranked by counting instead, and keys already in order by one pass.
+  The others pack with their index, ``key << b | index``, into one int64
+  that ``np.sort`` orders (ties by index), and a shift and a mask unpack
+  the sorted keys and their order; only keys too wide for that take
+  ``np.argsort``, whose order serves neither the early stop nor the
+  final order.  So the worst case (a single-label path, whose every
+  round refines) is O(n log h), not the O(n) the paper's construction
+  guarantees; random trees keep 4 or 5 rounds.  The name is kept for
+  callers that select it as ``"linear"``.
 
 ``select_builder`` maps the ``builder=`` names to these functions.  Both
 builders accept any object with ``labels``, ``parent`` and ``depth``
@@ -135,16 +147,24 @@ _MAX_NODES = 2**31 - 1
 _COUNT_SPAN = 4
 
 
-def _dense_ranks(key: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, int]:
+def _dense_ranks(key: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, int, np.ndarray | None]:
     """Dense 1-based int32 ranks of ``key``, then the sentinel's rank 0.
 
     ``lo`` and ``hi`` are Python ints bounding the keys.  A small span is
-    ranked by marking the present keys and counting them; a larger one
-    by sorting.  Returns the ``key.size + 1`` ranks and the number of
-    distinct keys.
+    ranked by marking the present keys and counting them, and keys that
+    already come in order by counting their changes.  Other keys are
+    sorted: each packs with its index as ``(key - lo) << b | index``, with
+    b = ``key.size.bit_length()`` bits for the index, into one int64.
+    ``np.sort`` orders those without ``np.argsort``'s indirection, and
+    ``>> b`` and ``& (2**b - 1)`` unpack the sorted keys and the order.
+    Spans too wide for 63 - b bits take ``np.argsort``.  Returns the
+    ``key.size + 1`` ranks, the number of distinct keys, and the order the
+    packed sort produced (it sorts the keys, ties by ascending index), or
+    None when another branch ranked them.
     """
     # ``rank`` is allocated after the temporaries, whose freed memory it
     # can reuse; allocated first, it made the later rounds slower.
+    order = None
     if hi - lo <= _COUNT_SPAN * key.size:
         if lo:
             key = key - lo
@@ -154,27 +174,45 @@ def _dense_ranks(key: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, int]:
         rank = np.empty(key.size + 1, np.int32)
         rank[:-1] = dense.take(key)
     else:
-        order = np.argsort(key)
-        sk = key[order]
+        # ``at`` lists the indices in sorted order.  Only the packed sort's,
+        # whose ties are by index, is returned as ``order``.
+        b = key.size.bit_length()
+        if (key[1:] >= key[:-1]).all():
+            at, sk = slice(key.size), key
+        elif (hi - lo) >> (63 - b):
+            at = np.argsort(key)
+            sk = key[at]
+        else:
+            packed = key - lo
+            packed <<= b
+            packed |= np.arange(key.size)
+            packed.sort()
+            at = order = packed & ((1 << b) - 1)
+            sk = packed >> b
         dense = np.cumsum(np.concatenate(([True], sk[1:] != sk[:-1])), dtype=np.int32)
         rank = np.empty(key.size + 1, np.int32)
-        rank[order] = dense
+        rank[at] = dense
     rank[-1] = 0
-    return rank, int(dense[-1])
+    return rank, int(dense[-1]), order
 
 
 def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
     """Prefix-doubling builder; output equals ``build_esa_reference``.
 
-    A round with as many distinct ranks as the one before split no class
-    and is a fixed point: it is dropped and the rounds stop (the module
-    docstring gives the argument).  Rank-adjacent pairs with equal final
-    ranks are identical suffixes and take their full length as lcp; only
-    the other pairs run the lcp descent, from the level below the top.
+    A round that splits no class is a fixed point: it is dropped and the
+    rounds stop (the module docstring gives the argument).  After a
+    ranking by the packed sort of ``_dense_ranks`` the next round's keys,
+    read in that sorted order, show that before the round is ranked;
+    otherwise a ranked round with as many distinct ranks as the one
+    before is the fixed point.  The last packed sort's order is also the
+    suffix order; without one, the final ranks are sorted once more.
+    Rank-adjacent pairs with equal final ranks are identical suffixes and
+    take their full length as lcp; only the other pairs run the lcp
+    descent, from the level below the top.
 
     Pass ``stats`` to receive ``{"recursion_depth": rounds}``: the number of
     rank levels kept after the label ranks, at most ceil(log2(height + 1));
-    a round found to refine nothing is ranked, then dropped, and not counted.
+    a round found to refine nothing is dropped and not counted.
     """
     lab = tree.labels
     n = int(lab.size)
@@ -191,7 +229,7 @@ def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
     anc[:n] = par
     anc[:n][par < 0] = n
     anc[n] = n
-    rank, distinct = _dense_ranks(lab, int(lab.min()), int(lab.max()))
+    rank, distinct, order = _dense_ranks(lab, int(lab.min()), int(lab.max()))
     ranks, ancs = [rank], [anc]
     # Rounds stop once the ranks are distinct, once no node has a
     # step-th ancestor (step exceeds the greatest depth), or once a round
@@ -203,7 +241,15 @@ def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
         # (rank, ancestor's rank) packs into keys below (distinct + 1)^2.
         key = np.multiply(rank[:n], distinct + 1, dtype=np.int64)
         key += rank.take(anc[:n])
-        rank, refined = _dense_ranks(key, 0, (distinct + 1) ** 2 - 1)
+        if order is not None:
+            # The last ranking was the packed sort: read in its order, each
+            # class is a run, so the keys change at the distinct - 1 class
+            # boundaries and elsewhere only where a class splits.  No split
+            # means the round refines nothing, so it is not ranked.
+            key_in_order = key.take(order)
+            if np.count_nonzero(key_in_order[1:] != key_in_order[:-1]) == distinct - 1:
+                break
+        rank, refined, order = _dense_ranks(key, 0, (distinct + 1) ** 2 - 1)
         if refined == distinct:
             # Same classes in the same order as the last kept level, so
             # ``rank`` still sorts the suffixes as that level would.
@@ -216,15 +262,22 @@ def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
     if stats is not None:
         stats["recursion_depth"] = len(ranks) - 1
 
-    # The final ranks tie only for identical suffixes, which order by id:
-    # sorting the distinct keys rank * n + id gives that order directly.
-    key = np.multiply(rank[:n], n, dtype=np.int64)
-    key += np.arange(n)
-    key.sort()
+    if order is None:
+        # The final ranks tie only for identical suffixes, which order by id:
+        # sorting the distinct keys rank << b | id gives that order directly.
+        b = n.bit_length()
+        key = np.left_shift(rank[:n], b, dtype=np.int64)
+        key |= np.arange(n)
+        key.sort()
+        final = key >> b
+        sa = key & ((1 << b) - 1)
+    else:
+        # The packed sort that ranked ``rank`` gave that order already.
+        sa = order
+        final = rank.take(sa)
     # A tied pair is two nodes with one suffix string: its lcp is the
     # string's length.  Every pair is written so (one contiguous gather
     # costs less than a masked one), and the descent overwrites the rest.
-    final, sa = np.divmod(key, n)
     lcp = np.empty(n, np.int64)
     lcp[-1] = -1
     lcp[:-1] = dep.take(sa[1:]) + 1

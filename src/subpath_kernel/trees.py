@@ -205,7 +205,7 @@ def _intern_packed(joined: str, codes: np.ndarray, run: np.ndarray,
         at = np.flatnonzero(length > j)
         key[at] |= codes.take(start.take(at) + j).astype(np.int64) << (4 + 7 * j)
     n = key.size
-    rank, distinct = _dense_ranks(key, int(key.min()), int(key.max()))
+    rank, distinct, _ = _dense_ranks(key, int(key.min()), int(key.max()))
     rank = rank[:n]
     first = np.full(distinct + 1, n, np.int64)
     np.minimum.at(first, rank, np.arange(n))

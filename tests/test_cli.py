@@ -233,7 +233,8 @@ class TestBenchCommands:
         assert [p["size"] for p in report["series"]["intervals"]] == [64, 128, 256]
         assert [p["size"] for p in report["series"]["merge"]] == [64, 128, 256]
         assert [p["size"] for p in report["series"]["build"]] == [64, 128, 256]
-        assert set(report["slopes"]) == {"linear", "reference", "intervals"}
+        assert [p["size"] for p in report["series"]["path_build"]] == [64, 128, 256]
+        assert set(report["slopes"]) == {"linear", "reference", "intervals", "path_build"}
         assert all(p["seconds"] > 0 for s in report["series"].values() for p in s)
 
     def test_predict_report_shape(self, capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import RmqIndex, naive_lcp, suffix
+from subpath_kernel import esa
 from subpath_kernel.esa import _dense_ranks, build_esa_linear, build_esa_reference
 from subpath_kernel.kernel import merge_forest
 from subpath_kernel.trees import LabelTable, parse_tree, path_tree, random_tree, star_tree
@@ -150,8 +151,48 @@ def built_like_reference(forest):
     return stats["recursion_depth"]
 
 
+def rankings(forest, monkeypatch):
+    """``built_like_reference`` plus, for each ranking the build ran, its
+    number of distinct ranks and whether it sorted (returned an order)."""
+    log = []
+    real = esa._dense_ranks
+
+    def spy(key, lo, hi):
+        out = real(key, lo, hi)
+        log.append((out[1], out[2] is not None))
+        return out
+
+    monkeypatch.setattr(esa, "_dense_ranks", spy)
+    try:
+        return built_like_reference(forest), log
+    finally:
+        monkeypatch.undo()
+
+
 class TestStopAndTies:
     """The branches of the fixed-point stop and the tied-neighbour shortcut."""
+
+    def test_stop_before_ranking(self, monkeypatch):
+        # a sorted round that refines, then one that splits no class: read in
+        # the sorted order, its keys stop the rounds before it is ranked.
+        # Ties are left (twins, equal sibling leaves) and the step is below
+        # the greatest depth, so only that stop ends the rounds.
+        t = random_tree(1 << 12, 5, 0)
+        forests = [merge_forest([t, t])] + [
+            merge_forest([random_tree(n, 5, seed), random_tree(n, 5, seed + 1)])
+            for n, seed in ((1 << 12, 0), (1 << 12, 2), (1 << 13, 4))]
+        for forest in forests:
+            rounds, log = rankings(forest, monkeypatch)
+            assert len(log) == rounds + 1 and log[-1][0] < forest.labels.size
+            assert 2**rounds <= forest.depth.max()
+            assert [s for _, s in log[-2:]] == [True, True] and log[-1][0] > log[-2][0]
+
+    def test_drop_after_counted_round(self, monkeypatch):
+        # after a counted ranking the round that splits no class is ranked,
+        # found to keep the distinct count, and dropped
+        t = parse_tree("a(b(c))")
+        rounds, log = rankings(merge_forest([t, t]), monkeypatch)
+        assert rounds == 0 and log == [(3, False), (3, False)]
 
     def test_repeated_trees(self):
         # [t, p, t, p]: every suffix has an identical twin
@@ -241,16 +282,42 @@ class TestLinearInternals:
                 b = build_esa_linear(Forest)
                 assert a == b
 
-    def test_dense_ranks_count_equals_sort(self):
-        # tight bounds take the counting branch; loose ones force the sort
+    def test_dense_ranks_count_equals_sort(self, monkeypatch):
+        # tight bounds take the counting branch; bounds 2^40 below the keys
+        # the packed np.sort, and 2^62 below the np.argsort fallback, since
+        # the packed form would pass 63 bits (both sides of that edge are
+        # run); keys already in order skip the sort
+        real_argsort = np.argsort
+
+        def ranked(key, lo, hi):
+            calls = []
+            monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(1) or real_argsort(*a, **kw))
+            try:
+                return _dense_ranks(key, lo, hi), bool(calls)
+            finally:
+                monkeypatch.undo()
+
         rng = np.random.default_rng(4)
-        for size, span in [(1, 0), (50, 3), (1000, 40), (1000, 3999), (300, 10**6)]:
-            key = rng.integers(-5, span - 4, size, endpoint=True)
-            lo, hi = int(key.min()), int(key.max())
-            counted = _dense_ranks(key, lo, hi)
-            sorted_ = _dense_ranks(key, lo - 2**62, hi)
-            assert np.array_equal(counted[0], sorted_[0]) and counted[1] == sorted_[1]
-            assert counted[1] == np.unique(key).size
+        for size, span in [(1, 0), (50, 3), (1000, 1), (1000, 40), (1000, 3999), (300, 10**6)]:
+            drawn = rng.integers(-5, span - 4, size, endpoint=True)
+            for key in (drawn, np.sort(drawn)):
+                in_order = bool((np.diff(key) >= 0).all())
+                uniq, inverse = np.unique(key, return_inverse=True)
+                lo, hi = int(key.min()), int(key.max())
+                # the widest keys span more than 4n even under tight bounds
+                counted = hi - lo <= 4 * size
+                # spans below 2^(63 - b) pack key and index into 63 bits
+                edge = 2 ** (63 - size.bit_length()) - (hi - lo)
+                for below in (0, 2**40, edge - 1, edge, 2**62):
+                    (rank, distinct, order), argsorted = ranked(key, lo - below, hi)
+                    assert rank.dtype == np.int32 and rank[-1] == 0
+                    assert np.array_equal(rank[:-1], inverse + 1) and distinct == uniq.size
+                    assert argsorted == (below >= edge and not in_order)
+                    if (below == 0 and counted) or in_order or argsorted:
+                        assert order is None
+                    else:
+                        # the packed order sorts the keys, ties by ascending index
+                        assert np.array_equal(order, real_argsort(key, kind="stable"))
 
     def test_round_counts_pinned(self):
         # the stop rule alone fixes the round count; how keys are ranked must not move it
