@@ -21,29 +21,26 @@ Two interchangeable builders produce byte-identical output:
   so a round with no more distinct ranks split no class; and a partition
   one doubling leaves unchanged stays unchanged, because nodes of one
   class then have ancestors of one class at every later step.  That round
-  is dropped.  After a round ranked by the packed sort below, the next
-  round's keys are first read in that sorted order, where each class is
-  one run: they change at the distinct - 1 class boundaries and
-  elsewhere only where a class splits, so exactly distinct - 1 changes
-  stop the rounds before that round is ranked.  After any other round
-  the next one is ranked, found to refine nothing, and dropped.  At the
-  stop, equal ranks mean identical suffixes, ordered by node id; a last
-  packed sort already gives that order, else one more sort of
-  ``rank << b | id`` does.  A rank-adjacent pair with equal final ranks
-  takes the full suffix length as its lcp, and the lcp of every other
-  pair is read off the stored rank levels by one descending jump pass
-  from the level below the top, where such pairs already differ.
+  is dropped.  After a round ranked by a sort, the next round's keys are
+  first read in that sorted order, where each class is one run: they
+  change at the distinct - 1 class boundaries and elsewhere only where a
+  class splits, so exactly distinct - 1 changes stop the rounds before
+  that round is ranked.  After any other round the next one is ranked,
+  found to refine nothing, and dropped.  At the stop, equal ranks mean
+  identical suffixes, ordered by node id; a last sorted round already
+  gives that order, else one more sort of the ranks, ties by id, does.
+  A rank-adjacent pair with equal final ranks takes the full suffix
+  length as its lcp, and the lcp of every other pair is read off the
+  stored rank levels by one descending jump pass from the level below
+  the top, where such pairs already differ.
   A tree of height h needs at most ceil(log2(h + 1)) rounds of O(n) numpy
   work plus one sort each.  Keys spanning a small multiple of n are
-  ranked by counting instead, and keys already in order by one pass.
-  The others pack with their index, ``key << b | index``, into one int64
-  that ``np.sort`` orders (ties by index), and a shift and a mask unpack
-  the sorted keys and their order; only keys too wide for that take
-  ``np.argsort``, whose order serves neither the early stop nor the
-  final order.  So the worst case (a single-label path, whose every
-  round refines) is O(n log h), not the O(n) the paper's construction
-  guarantees; random trees keep 4 or 5 rounds.  The name is kept for
-  callers that select it as ``"linear"``.
+  ranked by counting instead, and keys already in order by one pass; the
+  others are sorted by ``_sorted_order``, ties by index.  So the worst
+  case (a single-label path, whose every round refines) is O(n log h),
+  not the O(n) the paper's construction guarantees; random trees keep 4
+  or 5 rounds.  The name is kept for callers that select it as
+  ``"linear"``.
 
 ``select_builder`` maps the ``builder=`` names to these functions.  Both
 builders accept any object with ``labels``, ``parent`` and ``depth``
@@ -147,20 +144,43 @@ _MAX_NODES = 2**31 - 1
 _COUNT_SPAN = 4
 
 
+def _sorted_order(key: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The keys in ascending order and that order, ties by ascending index.
+
+    ``lo`` and ``hi`` are Python ints bounding the keys.  Each key packs
+    with its index, ``(key - lo) << b | index`` with b =
+    ``key.size.bit_length()``, into one int64 that ``np.sort`` orders
+    without ``np.argsort``'s indirection; ``>> b`` and ``& (2**b - 1)``
+    unpack it.  Spans too wide for 63 - b bits (int64-extreme labels, long
+    packed label spellings, doubling rounds past about 2^21 nodes) take a
+    stable ``np.argsort`` of the keys themselves, with the same result:
+    ``key - lo`` could overflow int64.
+    """
+    b = key.size.bit_length()
+    if (hi - lo) >> (63 - b):
+        order = np.argsort(key, kind="stable")
+        return key.take(order), order
+    packed = np.subtract(key, lo, dtype=np.int64)
+    packed <<= b
+    packed |= np.arange(key.size)
+    packed.sort()
+    # In place: a new array for the keys cost sigma=5 pair builds ~775 page faults.
+    order = packed & ((1 << b) - 1)
+    packed >>= b
+    if lo:
+        packed += lo
+    return packed, order
+
+
 def _dense_ranks(key: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, int, np.ndarray | None]:
     """Dense 1-based int32 ranks of ``key``, then the sentinel's rank 0.
 
     ``lo`` and ``hi`` are Python ints bounding the keys.  A small span is
     ranked by marking the present keys and counting them, and keys that
     already come in order by counting their changes.  Other keys are
-    sorted: each packs with its index as ``(key - lo) << b | index``, with
-    b = ``key.size.bit_length()`` bits for the index, into one int64.
-    ``np.sort`` orders those without ``np.argsort``'s indirection, and
-    ``>> b`` and ``& (2**b - 1)`` unpack the sorted keys and the order.
-    Spans too wide for 63 - b bits take ``np.argsort``.  Returns the
-    ``key.size + 1`` ranks, the number of distinct keys, and the order the
-    packed sort produced (it sorts the keys, ties by ascending index), or
-    None when another branch ranked them.
+    sorted by ``_sorted_order``.  Returns the ``key.size + 1`` ranks, the
+    number of distinct keys, and the sorted order (ties by ascending
+    index), or None when the keys were counted or already in order.
     """
     # ``rank`` is allocated after the temporaries, whose freed memory it
     # can reuse; allocated first, it made the later rounds slower.
@@ -174,21 +194,12 @@ def _dense_ranks(key: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, int, np
         rank = np.empty(key.size + 1, np.int32)
         rank[:-1] = dense.take(key)
     else:
-        # ``at`` lists the indices in sorted order.  Only the packed sort's,
-        # whose ties are by index, is returned as ``order``.
-        b = key.size.bit_length()
+        # ``at`` lists the indices in sorted order.
         if (key[1:] >= key[:-1]).all():
             at, sk = slice(key.size), key
-        elif (hi - lo) >> (63 - b):
-            at = np.argsort(key)
-            sk = key[at]
         else:
-            packed = key - lo
-            packed <<= b
-            packed |= np.arange(key.size)
-            packed.sort()
-            at = order = packed & ((1 << b) - 1)
-            sk = packed >> b
+            sk, order = _sorted_order(key, lo, hi)
+            at = order
         dense = np.cumsum(np.concatenate(([True], sk[1:] != sk[:-1])), dtype=np.int32)
         rank = np.empty(key.size + 1, np.int32)
         rank[at] = dense
@@ -199,18 +210,8 @@ def _dense_ranks(key: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, int, np
 def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
     """Prefix-doubling builder; output equals ``build_esa_reference``.
 
-    A round that splits no class is a fixed point: it is dropped and the
-    rounds stop (the module docstring gives the argument).  After a
-    ranking by the packed sort of ``_dense_ranks`` the next round's keys,
-    read in that sorted order, show that before the round is ranked;
-    otherwise a ranked round with as many distinct ranks as the one
-    before is the fixed point.  The last packed sort's order is also the
-    suffix order; without one, the final ranks are sorted once more.
-    Rank-adjacent pairs with equal final ranks are identical suffixes and
-    take their full length as lcp; only the other pairs run the lcp
-    descent, from the level below the top.
-
-    Pass ``stats`` to receive ``{"recursion_depth": rounds}``: the number of
+    The module docstring describes the rounds, their stop, the final order
+    and the lcp pass.  Pass ``stats`` to receive ``{"recursion_depth": rounds}``: the number of
     rank levels kept after the label ranks, at most ceil(log2(height + 1));
     a round found to refine nothing is dropped and not counted.
     """
@@ -242,7 +243,7 @@ def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
         key = np.multiply(rank[:n], distinct + 1, dtype=np.int64)
         key += rank.take(anc[:n])
         if order is not None:
-            # The last ranking was the packed sort: read in its order, each
+            # The last ranking sorted the keys: read in its order, each
             # class is a run, so the keys change at the distinct - 1 class
             # boundaries and elsewhere only where a class splits.  No split
             # means the round refines nothing, so it is not ranked.
@@ -262,19 +263,13 @@ def build_esa_linear(tree, stats: dict | None = None) -> TreeSuffixArray:
     if stats is not None:
         stats["recursion_depth"] = len(ranks) - 1
 
+    # The final ranks tie only for identical suffixes, which order by id:
+    # their sorted order, ties by index, is the suffix order, and the sort
+    # that ranked them, if one did, gave it already.
     if order is None:
-        # The final ranks tie only for identical suffixes, which order by id:
-        # sorting the distinct keys rank << b | id gives that order directly.
-        b = n.bit_length()
-        key = np.left_shift(rank[:n], b, dtype=np.int64)
-        key |= np.arange(n)
-        key.sort()
-        final = key >> b
-        sa = key & ((1 << b) - 1)
+        final, sa = _sorted_order(rank[:n], 0, distinct)
     else:
-        # The packed sort that ranked ``rank`` gave that order already.
-        sa = order
-        final = rank.take(sa)
+        sa, final = order, rank.take(order)
     # A tied pair is two nodes with one suffix string: its lcp is the
     # string's length.  Every pair is written so (one contiguous gather
     # costs less than a masked one), and the descent overwrites the rest.

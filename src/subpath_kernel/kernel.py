@@ -160,8 +160,11 @@ def lcp_intervals(lcp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     intervals were found, one stable sort of the unique packed keys
     rb * (max depth + 1) - depth restores that order, which the kernel's
     sequential float sum depends on.  The stack's intervals and each
-    pass's peaks come in rb order already, and a stable sort merges such
-    runs quickly.
+    pass's peaks come in rb order already, and a stable ``np.argsort``
+    merges such runs quickly.  ``esa._sorted_order`` would need bounds for
+    the negative keys and gained little (whole call on the pair-large pairs
+    of seeds 1 and 2, medians of 61 alternating calls, 2-CPU Xeon VM: 2.28,
+    1.49 -> 2.26, 1.52 ms at sigma=5; 3.86, 2.53 -> 3.69, 2.40 ms on paths).
     """
     # ext[i + 1] is boundary i; the root's depth 0 stands on both sides.
     ext = np.concatenate(([0], lcp[:-1], [0]))

@@ -37,6 +37,7 @@ import math
 
 import numpy as np
 
+from .esa import _sorted_order
 from .kernel import (
     KernelParams,
     MergedTree,
@@ -152,9 +153,8 @@ def build_master_index(sv: SupportSet) -> MasterIndex:
     # Intervals of one depth are disjoint, so (depth, lb) is a unique key.
     # Sorted by it, parents come first, and the interval at depth d holding
     # rank r is the last whose key is at most (d, r).
-    keys = depth * (n + 1) + lb
-    order = np.argsort(keys)
-    depth, lb, rb, enclosing, keys = (a[order] for a in (depth, lb, rb, enclosing, keys))
+    keys, order = _sorted_order(depth * (n + 1) + lb, 0, (int(depth.max()) + 1) * (n + 1))
+    depth, lb, rb, enclosing = (a.take(order) for a in (depth, lb, rb, enclosing))
     m = depth.size
 
     def holding(d, r):
@@ -252,11 +252,11 @@ def matching_statistics(idx: MasterIndex, t: Tree) -> MatchStats:
     n = t.n
     lengths = [0] * n
     locus = [0] * n
-    # best[v]: v's child with the longest match so far, and its length.
-    # Children finish in descending id order, so taking a child on ties
-    # leaves the lowest id among the longest.
-    best = [-1] * n
+    # The longest match among v's children so far: its length, locus and
+    # cursor.  Children finish in descending id order, so taking a child on
+    # ties leaves the lowest id among the longest.
     best_len = [-1] * n
+    best_locus = [0] * n
     best_cur = [-1] * n
     comparisons = descents = slinks = skips = 0
     iv_depth = idx.iv_depth
@@ -283,20 +283,17 @@ def matching_statistics(idx: MasterIndex, t: Tree) -> MatchStats:
             plab[d] = tlab[u]
             u = parent_t[u]
             d -= 1
-        q = 0
-        x = 0
+        q = x = 0
         cx = -1
-        if best[v] >= 0:
-            q0 = best_len[v] - 1
-            if q0 > 0:
-                slinks += 1
-                x = iv_slink[iv_parent[locus[best[v]]]]
-                while iv_depth[x] < q0:
-                    skips += 1
-                    x = iv_children[x][plab[dv - iv_depth[x]]]
-                q = q0
-                cur = best_cur[v]
-                cx = x
+        if best_len[v] > 1:
+            q = best_len[v] - 1
+            slinks += 1
+            x = iv_slink[iv_parent[best_locus[v]]]
+            while iv_depth[x] < q:
+                skips += 1
+                x = iv_children[x][plab[dv - iv_depth[x]]]
+            cur = best_cur[v]
+            cx = x
         while q <= dv:
             c = plab[dv - q]
             if q < iv_depth[x]:
@@ -319,8 +316,8 @@ def matching_statistics(idx: MasterIndex, t: Tree) -> MatchStats:
         locus[v] = x
         p = parent_t[v]
         if p >= 0 and q >= best_len[p]:
-            best[p] = v
             best_len[p] = q
+            best_locus[p] = x
             best_cur[p] = cur
     return MatchStats(lengths=lengths, locus=locus, comparisons=comparisons,
                       descents=descents, slinks=slinks, skips=skips)

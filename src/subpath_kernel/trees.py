@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .esa import _dense_ranks
+from .esa import _dense_ranks, _sorted_order
 
 _RESERVED = "(),"
 
@@ -106,13 +106,14 @@ class Tree:
     def from_parents(labels: Sequence[int], parent: Sequence[int]) -> "Tree":
         """Build and validate a tree from a preorder parent array.
 
+        Floats, strings, bools and nested sequences raise (``_frozen``).
         Every parent must be an earlier node on the root path of the node
         just before its child: ``path[k]`` holds the depth-k node of that
         path, and entries past its depth are stale, so a parent deeper
         than it is rejected too.
         """
-        labels = _frozen(labels)
-        parent = _frozen(parent)
+        labels = _frozen(labels, "labels")
+        parent = _frozen(parent, "parent")
         n = labels.size
         if n == 0:
             raise ValueError("a tree needs at least one node")
@@ -130,12 +131,19 @@ class Tree:
                 raise ValueError(f"node {v}: node ids are not in preorder")
             depth[v] = d + 1
             path[d + 1] = v
-        return Tree(labels, parent, _frozen(depth))
+        return Tree(labels, parent, _frozen(depth, "depth"))
 
 
-def _frozen(values) -> np.ndarray:
-    """A read-only int64 copy of ``values``."""
-    arr = np.array(values, np.int64)
+def _frozen(values, name: str) -> np.ndarray:
+    """A read-only int64 copy of ``values``: empty, or 1-D integers that
+    int64 holds; anything else raises a ValueError naming ``name``."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged sequence
+        arr = np.asarray(None)
+    if arr.ndim != 1 or arr.size and not (arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64)):
+        raise ValueError(f"{name} must be a 1-D sequence of int64 integers, got {arr.dtype} {arr.shape}")
+    arr = arr.astype(np.int64)
     arr.flags.writeable = False
     return arr
 
@@ -238,11 +246,12 @@ def _parse_texts(texts: Sequence[str], table: LabelTable,
     prefixed for the i-th text when ``where`` is given.  Nothing is
     interned before every text has passed, so ``table`` stays unchanged.
 
-    The level at a label is its depth.  Ordered by (depth, id), a label
-    right after '(' is a first child, whose parent is the label just
-    before it (id - 1), and one after ',' has the parent of the label
-    before it in that order, which is its previous sibling: every label
-    between two siblings lies in the first one's subtree, so it is deeper.
+    The level at a label is its depth.  Ordered by (depth, id), which
+    ``esa._sorted_order`` of the depths gives (ties by id), a label right
+    after '(' is a first child, whose parent is the label just before it
+    (id - 1), and one after ',' has the parent of the label before it in
+    that order, which is its previous sibling: every label between two
+    siblings lies in the first one's subtree, so it is deeper.
     The first label of every depth but 0 follows a '(', so one running
     maximum of the position of the last first child (or root) gives every
     parent.  A root's "id - 1" is the last id of the text before it, which
@@ -294,12 +303,8 @@ def _parse_texts(texts: Sequence[str], table: LabelTable,
     at_label = np.flatnonzero(kind == _LABEL)
     depth = level.take(at_label).astype(np.int64)
     n = depth.size
-    # Sort (depth, id) keys packed into one int64; the low bits give the ids.
-    shift = max(n - 1, 1).bit_length()
-    keys = depth << shift
-    keys |= np.arange(n)
-    keys.sort()
-    ids = keys & ((1 << shift) - 1)
+    # The ids in (depth, id) order; every depth is below n.
+    ids = _sorted_order(depth, 0, n)[1]
     anchor = np.arange(n)
     anchor *= prev.take(at_label).take(ids) != _COMMA
     np.maximum.accumulate(anchor, out=anchor)

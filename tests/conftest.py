@@ -57,3 +57,22 @@ def shuffle_children(tree: Tree, seed: int) -> Tree:
     labels = [tree.labels[v] for v in order]
     parent = [-1 if tree.parent[v] == -1 else new_id[tree.parent[v]] for v in order]
     return Tree.from_parents(labels, parent)
+
+
+def caterpillar(spine: int, sigma: int, seed: int) -> Tree:
+    """A spine of ``spine`` nodes, each carrying 0-2 legs of 1-3 nodes.
+
+    Children are shuffled, so in descending id order the matching sweep
+    jumps between legs hanging at every depth of the spine.
+    """
+    rng = random.Random(seed)
+    parent = [-1]
+    top = 0
+    for _ in range(spine - 1):
+        for _ in range(rng.randint(0, 2)):
+            leg = rng.randint(1, 3)
+            parent += [top] + list(range(len(parent), len(parent) + leg - 1))
+        parent.append(top)
+        top = len(parent) - 1
+    labels = [rng.randrange(sigma) for _ in parent]
+    return shuffle_children(Tree.from_parents(labels, parent), seed)

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import caterpillar
 from oracles import RmqIndex, naive_lcp, suffix
 from subpath_kernel import esa
-from subpath_kernel.esa import _dense_ranks, build_esa_linear, build_esa_reference
+from subpath_kernel.esa import _dense_ranks, _sorted_order, build_esa_linear, build_esa_reference
 from subpath_kernel.kernel import merge_forest
 from subpath_kernel.trees import LabelTable, parse_tree, path_tree, random_tree, star_tree
 
@@ -284,9 +285,9 @@ class TestLinearInternals:
 
     def test_dense_ranks_count_equals_sort(self, monkeypatch):
         # tight bounds take the counting branch; bounds 2^40 below the keys
-        # the packed np.sort, and 2^62 below the np.argsort fallback, since
-        # the packed form would pass 63 bits (both sides of that edge are
-        # run); keys already in order skip the sort
+        # the packed np.sort, and 2^62 below the stable np.argsort fallback,
+        # since the packed form would pass 63 bits (both sides of that edge
+        # are run); keys already in order skip the sort
         real_argsort = np.argsort
 
         def ranked(key, lo, hi):
@@ -313,11 +314,32 @@ class TestLinearInternals:
                     assert rank.dtype == np.int32 and rank[-1] == 0
                     assert np.array_equal(rank[:-1], inverse + 1) and distinct == uniq.size
                     assert argsorted == (below >= edge and not in_order)
-                    if (below == 0 and counted) or in_order or argsorted:
+                    if (below == 0 and counted) or in_order:
                         assert order is None
                     else:
-                        # the packed order sorts the keys, ties by ascending index
+                        # every sort's order, the fallback's included, sorts
+                        # the keys, ties by ascending index
                         assert np.array_equal(order, real_argsort(key, kind="stable"))
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_sorted_order_is_the_stable_argsort(self, data):
+        # spans from none to all of int64, with just under and at the 63-bit
+        # edge of the packed form among them; a few distinct values make
+        # heavy ties, and the lower bound may sit below the keys
+        int64 = np.iinfo(np.int64)
+        size = data.draw(st.integers(0, 200), label="size")
+        edge = 2 ** (63 - size.bit_length())
+        span = data.draw(st.sampled_from([0, 1, edge - 1, edge, 2**64 - 1])
+                         | st.integers(0, 2**64 - 1), label="span")
+        lo = data.draw(st.integers(int64.min, int64.max - span), label="lo")
+        pool = data.draw(st.lists(st.integers(lo, lo + span), min_size=1, max_size=6), label="pool")
+        key = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)), np.int64)
+        below = data.draw(st.sampled_from([0, 1, 2**40]).filter(lambda d: lo - d >= int64.min), label="below")
+        sk, order = _sorted_order(key, lo - below, lo + span)
+        assert np.array_equal(order, np.argsort(key, kind="stable"))
+        assert np.array_equal(sk, np.sort(key))
+        assert sk.dtype == order.dtype == np.int64
 
     def test_round_counts_pinned(self):
         # the stop rule alone fixes the round count; how keys are ranked must not move it
@@ -327,11 +349,17 @@ class TestLinearInternals:
             return stats["recursion_depth"]
 
         assert rounds(path_tree(5000)) == 13
+        # caterpillars of a 5,461-node spine have about 2^14 nodes (16,268
+        # and 16,400 here) and a height of about 2^14 / 3
+        spine = (1 << 14) // 3
         pairs = {5: (random_tree(1 << 14, 5, 0), random_tree(1 << 14, 5, 1)),
                  1: (random_tree(1 << 14, 1, 0), random_tree(1 << 14, 1, 1)),
                  "paths": (coin_path(1 << 14, 0), coin_path(1 << 14, 1)),
-                 "tied paths": (coin_path(1 << 14, 2), coin_path(1 << 14, 3))}
+                 "tied paths": (coin_path(1 << 14, 2), coin_path(1 << 14, 3)),
+                 "caterpillars 5": (caterpillar(spine, 5, 0), caterpillar(spine, 5, 1)),
+                 "caterpillars 1": (caterpillar(spine, 1, 0), caterpillar(spine, 1, 1))}
         got = {k: rounds(merge_forest(list(pair))) for k, pair in pairs.items()}
-        assert got == {5: 4, 1: 5, "paths": 5, "tied paths": 5}
+        assert got == {5: 4, 1: 5, "paths": 5, "tied paths": 5,
+                       "caterpillars 5": 4, "caterpillars 1": 13}
         # the worst case: every round refines a single-label path
         assert rounds(path_tree(1 << 17)) == 17

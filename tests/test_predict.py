@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import naive_match_lengths, rel_close, shuffle_children
+from conftest import caterpillar, naive_match_lengths, rel_close
 from oracles import children, scan_tree
 from subpath_kernel.kernel import KernelParams, merged_esa, subpath_kernel
 from subpath_kernel.predict import (
@@ -39,25 +39,6 @@ def make_sv(m, max_n, sigma, seed, lam=0.5, signed=False, bias=0.0):
     trees = [random_tree(rng.randint(1, max_n), sigma, seed * 1000 + j) for j in range(m)]
     alphas = [rng.uniform(-2, 2) if signed else 1.0 for _ in range(m)]
     return SupportSet(trees=trees, alphas=alphas, bias=bias, params=KernelParams(lam=lam))
-
-
-def caterpillar(spine: int, sigma: int, seed: int) -> Tree:
-    """A spine of ``spine`` nodes, each carrying 0-2 legs of 1-3 nodes.
-
-    Children are shuffled, so in descending id order the matching sweep
-    jumps between legs hanging at every depth of the spine.
-    """
-    rng = random.Random(seed)
-    parent = [-1]
-    top = 0
-    for _ in range(spine - 1):
-        for _ in range(rng.randint(0, 2)):
-            leg = rng.randint(1, 3)
-            parent += [top] + list(range(len(parent), len(parent) + leg - 1))
-        parent.append(top)
-        top = len(parent) - 1
-    labels = [rng.randrange(sigma) for _ in parent]
-    return shuffle_children(Tree.from_parents(labels, parent), seed)
 
 
 def interval_ranges(idx: MasterIndex) -> tuple[list[int], list[int]]:

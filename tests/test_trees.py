@@ -3,6 +3,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -192,6 +193,28 @@ class TestTreeValidation:
         else:
             with pytest.raises(ValueError, match="not in preorder"):
                 Tree.from_parents([0] * len(parent), parent)
+
+    @pytest.mark.parametrize("labels, parent, name", [
+        ([1.7, 2.2, 0.5], [-1, 0, 1], "labels"),   # floats were truncated
+        ([1, 2, 0], [-1, 0.9, 1.99], "parent"),
+        (["3", "1"], [-1, 0], "labels"),           # strings were parsed
+        ([1, 2], ["-1", "0"], "parent"),
+        ([True, False], [-1, 0], "labels"),        # bools were cast to 1 and 0
+        ([1, 2], [False, False], "parent"),
+        ([[1], [2]], [-1, 0], "labels"),           # 2-D input was accepted
+        ([1, 2], [[-1, 0]], "parent"),
+        ([[1], [2, 3]], [-1, 0], "labels"),        # ragged
+        ([1, 2**70], [-1, 0], "labels"),           # outside int64
+        (np.array([1, 2], np.uint64), [-1, 0], "labels"),
+    ])
+    def test_non_integer_input_rejected(self, labels, parent, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a 1-D sequence of int64 integers"):
+            Tree.from_parents(labels, parent)
+
+    def test_integer_arrays_of_any_int64_safe_dtype_accepted(self):
+        t = Tree.from_parents(np.array([3, 1, 2], np.uint32), np.array([-1, 0, 0], np.int8))
+        assert t == Tree.from_parents([3, 1, 2], [-1, 0, 0])
+        assert t.labels.dtype == t.parent.dtype == np.int64
 
     def test_parent_after_child_rejected(self):
         with pytest.raises(ValueError):
